@@ -10,8 +10,9 @@ from .autodiff import Tensor, backward
 from .coarsen import (CGMapping, build_bead_graph, build_pooling_graph,
                       coarse_grain, find_rotatable_bonds, order_beads)
 from .corpus import ToyMolecule, make_corpus
-from .decoder import channel_selection, decode_ar, decode_ot, generate
-from .encoder import encode, encode_reference
+from .decoder import (channel_selection, decode_ar, decode_ot, generate,
+                      generate_ensemble)
+from .encoder import encode, encode_ensemble, encode_reference
 from .geometry import Alignment, aligned_rmsd, kabsch_align, random_rotation
 from .latent import (GaussianLatent, kl_divergence, posterior_params,
                      prior_params, sample)
@@ -34,8 +35,9 @@ __all__ = [
     "TrainResult", "TransportPlan", "aligned_mse", "aligned_rmsd", "backward",
     "budget_sweep", "build_bead_graph", "build_graph", "build_pooling_graph",
     "channel_selection", "coarse_grain", "decode_ar", "decode_ot",
-    "distance_loss", "elbo_loss", "emd_solve", "encode", "encode_reference",
-    "ensemble_report", "error_histogram", "find_rotatable_bonds", "generate",
+    "distance_loss", "elbo_loss", "emd_solve", "encode", "encode_ensemble",
+    "encode_reference", "ensemble_report", "error_histogram",
+    "find_rotatable_bonds", "generate", "generate_ensemble",
     "kabsch_align", "kl_divergence", "make_corpus", "order_beads", "ot_loss",
     "parse_sdf", "parse_xyz", "posterior_params", "prior_params",
     "random_rotation", "resume", "rmsd", "sample", "train", "write_conformer",

@@ -4,10 +4,13 @@ A :class:`Tensor` wraps a float64 ndarray and records the operations that
 produced it. Calling :func:`backward` on a scalar output accumulates
 gradients into every reachable leaf with ``requires_grad=True``.
 
-The op set is deliberately small: affine arithmetic, matmul (with numpy
-broadcasting), reductions, exp/log/sqrt, sigmoid, indexing, concatenation
-and segment sums. Everything the model needs (SiLU, softmax, vector-neuron
-layers, RBF expansion) is composed from these.
+The primitive ops are affine arithmetic, matmul (with numpy broadcasting),
+reductions, exp/log/sqrt, sigmoid, indexing, concatenation and segment
+sums. Blocks the model calls many times per step (softmax here; the MLP,
+affine, vector-neuron and RBF layers in :mod:`coarsegen.nn`) are fused: each
+records one node whose hand-written backward replaces a chain of primitive
+nodes, and whose forward runs the same numpy operations in the same order
+as that chain, so forward values are unchanged.
 """
 
 from __future__ import annotations
@@ -22,7 +25,12 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward_fn=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
+        if not requires_grad:
+            for p in _parents:
+                if p.requires_grad:
+                    requires_grad = True
+                    break
+        self.requires_grad = requires_grad
         self.grad = None
         self._parents = _parents if self.requires_grad else ()
         self._backward_fn = _backward_fn if self.requires_grad else None
@@ -176,10 +184,7 @@ class Tensor:
                       _backward_fn=lambda g: (g / (2.0 * out_data),))
 
     def sigmoid(self):
-        # evaluate exp on the non-positive branch only, so huge |x| can't overflow
-        x = self.data
-        e = np.exp(-np.abs(x))
-        out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        out_data = _sigmoid(self.data)
         return Tensor(out_data, _parents=(self,),
                       _backward_fn=lambda g: (g * out_data * (1.0 - out_data),))
 
@@ -198,6 +203,13 @@ class Tensor:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function of an array, overflow-safe for large |x|."""
+    # evaluate exp on the non-positive branch only, so huge |x| can't overflow
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -248,10 +260,15 @@ def segment_sum(t: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor
 
 
 def softmax(t: Tensor, axis=-1) -> Tensor:
+    """Max-shifted softmax along ``axis``, as one tape node."""
     t = as_tensor(t)
-    shifted = t - Tensor(t.data.max(axis=axis, keepdims=True))
-    e = shifted.exp()
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(t.data - t.data.max(axis=axis, keepdims=True))
+    out_data = e / e.sum(axis=axis, keepdims=True)
+
+    def bw(g):
+        return (out_data * (g - (g * out_data).sum(axis=axis, keepdims=True)),)
+
+    return Tensor(out_data, _parents=(t,), _backward_fn=bw)
 
 
 def backward(out: Tensor) -> None:

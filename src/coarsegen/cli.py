@@ -18,7 +18,7 @@ import numpy as np
 
 from .checks import equivariance_check, gradient_check
 from .coarsen import build_bead_graph, coarse_grain, order_beads
-from .decoder import generate as generate_conformer
+from .decoder import generate_ensemble
 from .losses import LossWeights
 from .metrics import budget_sweep, ensemble_report, error_histogram, format_report
 from .molio import ParseError, parse_sdf, write_sdf_records
@@ -85,8 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-dir", default=None)
     p.add_argument("--resume", default=None, metavar="CKPT",
                    help="continue from an epoch checkpoint")
-    p.add_argument("--workers", type=int, default=1,
-                   help="reserved; batches run sequentially for determinism")
     _add_model_flags(p)
 
     p = sub.add_parser("generate", help="sample conformers for a reference molecule")
@@ -202,12 +200,9 @@ def _cmd_generate(args) -> int:
         store = ParameterStore(seed=seed)
     cfg = _model_config(args)
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(args.num):
-        conf = generate_conformer(store, cfg, expanded, mapping, ref.coords,
-                                  order, rng, mode=args.mode)
-        out.append((graph, conf))
-    payload = write_sdf_records(out)
+    confs = generate_ensemble(store, cfg, expanded, mapping, ref.coords, order,
+                              rng, args.num, mode=args.mode)
+    payload = write_sdf_records([(graph, conf) for conf in confs])
     if args.output == "-":
         sys.stdout.buffer.write(payload)
     else:

@@ -200,19 +200,37 @@ def decode_ot(store: ParameterStore, cfg: ModelConfig, z: Tensor,
     return coords
 
 
-def generate(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
-             mapping: CGMapping, ref_coords: np.ndarray, order: list[int],
-             rng: np.random.Generator, mode: str = "ar",
-             noise: np.ndarray | None = None) -> Conformer:
-    """Sample a conformer from the learned prior conditioned on the reference."""
+def generate_ensemble(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
+                      mapping: CGMapping, ref_coords: np.ndarray, order: list[int],
+                      rng: np.random.Generator, num: int, mode: str = "ar",
+                      noise: np.ndarray | None = None) -> list[Conformer]:
+    """Sample ``num`` conformers from the learned prior conditioned on the
+    reference.
+
+    The reference is encoded and the prior computed once; the draws use
+    ``rng`` in turn, so the result equals ``num`` successive :func:`generate`
+    calls. ``noise`` (num x beads x channels x 3) overrides the drawn eps.
+    """
     if mode not in ("ar", "ot"):
         raise ValueError(f"unknown decode mode {mode!r}")
     ref_c, centroid = center(np.asarray(ref_coords))
     z_ref = encode_reference(store, cfg, graph, mapping, ref_c)
     prior = prior_params(store, cfg, z_ref)
-    z_sample = sample(prior, rng, noise=noise)
-    if mode == "ar":
-        coords = decode_ar(store, cfg, z_sample, mapping, ref_c, graph, order)
-    else:
-        coords = decode_ot(store, cfg, z_sample, mapping, ref_c, graph)
-    return Conformer(coords.data + centroid)
+    out = []
+    for i in range(num):
+        z_sample = sample(prior, rng, noise=None if noise is None else noise[i])
+        if mode == "ar":
+            coords = decode_ar(store, cfg, z_sample, mapping, ref_c, graph, order)
+        else:
+            coords = decode_ot(store, cfg, z_sample, mapping, ref_c, graph)
+        out.append(Conformer(coords.data + centroid))
+    return out
+
+
+def generate(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
+             mapping: CGMapping, ref_coords: np.ndarray, order: list[int],
+             rng: np.random.Generator, mode: str = "ar",
+             noise: np.ndarray | None = None) -> Conformer:
+    """Sample a conformer from the learned prior conditioned on the reference."""
+    return generate_ensemble(store, cfg, graph, mapping, ref_coords, order, rng, 1,
+                             mode=mode, noise=None if noise is None else noise[None])[0]

@@ -1,11 +1,13 @@
 """Hierarchical graph-matching encoder.
 
 Each layer stacks a fine-grained message-passing module, an atom-to-bead
-pooling module and a coarse-grained point-convolution module. Two paths run
-side by side (ground truth and approximate reference); cross attention flows
-only from the reference path into the ground-truth path, so the reference
-latent never depends on ground-truth coordinates. The output per path is an
-equivariant latent tensor of shape (beads, channels, 3).
+pooling module and a coarse-grained point-convolution module. One reference
+path runs beside K ground-truth paths (K = 1 for one conformer, K = 0 for
+the reference alone); cross attention flows only from the reference path
+into each ground-truth path, so the reference latent never depends on
+ground-truth coordinates and the ground-truth paths never see each other.
+The output per path is an equivariant latent tensor of shape
+(beads, channels, 3).
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from .params import ParameterStore
 
 _DIST_EPS = 1e-12
 
-GT = "gt"
+# Path keys: the reference path is REF, ground-truth paths their index 0..K-1.
 REF = "ref"
+PathKey = int | str
 
 
 def center(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -122,12 +125,12 @@ def init_cg_state(cfg: ModelConfig, fg: FgState, mapping: CGMapping) -> CgState:
 
 
 def fg_layer(store: ParameterStore, cfg: ModelConfig, layer: int,
-             states: dict[str, FgState], edges: EdgeSet) -> dict[str, FgState]:
-    """One fine-grained update of both paths; attention flows ref -> gt only."""
+             states: dict[PathKey, FgState], edges: EdgeSet) -> dict[PathKey, FgState]:
+    """One fine-grained update of every path; attention flows ref -> gt only."""
     lt = cfg.layer_tag(layer)
     D = cfg.hidden_dim
-    out: dict[str, FgState] = {}
-    messages: dict[str, tuple[Tensor, Tensor]] = {}
+    out: dict[PathKey, FgState] = {}
+    messages: dict[PathKey, tuple[Tensor, Tensor]] = {}
     n = states[next(iter(states))].h.shape[0]
 
     for path, st in states.items():
@@ -148,7 +151,7 @@ def fg_layer(store: ParameterStore, cfg: ModelConfig, layer: int,
         coord_sum = segment_sum(diff * (gate / (dist + 1.0)), edges.dst,
                                 n) * Tensor(edges.inv_degree[:, None])
         x_new = cfg.eta_x * st.x0 + (1.0 - cfg.eta_x) * st.x + coord_sum
-        if path == GT and REF in states:
+        if path != REF and REF in states:
             u = attention(store, f"enc.fg.{lt}.att", st.h, states[REF].h)
         else:
             u = Tensor(np.zeros((n, D)))
@@ -192,13 +195,13 @@ def pool_layer(store: ParameterStore, cfg: ModelConfig, layer: int,
 
 
 def cg_layer(store: ParameterStore, cfg: ModelConfig, layer: int,
-             states: dict[str, CgState], edges: EdgeSet) -> dict[str, CgState]:
+             states: dict[PathKey, CgState], edges: EdgeSet) -> dict[PathKey, CgState]:
     """Point-convolution update of bead features and equivariant channels."""
     lt = cfg.layer_tag(layer)
     D, F = cfg.hidden_dim, cfg.latent_channels
     centers, width = cfg.rbf_centers, cfg.rbf_width
-    out: dict[str, CgState] = {}
-    aggregates: dict[str, tuple[Tensor, Tensor]] = {}
+    out: dict[PathKey, CgState] = {}
+    aggregates: dict[PathKey, tuple[Tensor, Tensor]] = {}
     n_beads = states[next(iter(states))].H.shape[0]
 
     for path, st in states.items():
@@ -233,7 +236,7 @@ def cg_layer(store: ParameterStore, cfg: ModelConfig, layer: int,
     for path, st in states.items():
         pfx = f"enc.{cfg.path_tag(path == REF)}.cg.{lt}"
         mh, mv = aggregates[path]
-        if path == GT and REF in states:
+        if path != REF and REF in states:
             u = attention(store, f"enc.cg.{lt}.att", st.H, states[REF].H)
         else:
             u = Tensor(np.zeros((n_beads, D)))
@@ -246,8 +249,12 @@ def cg_layer(store: ParameterStore, cfg: ModelConfig, layer: int,
 
 
 def _encode_paths(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
-                  mapping: CGMapping, coords: dict[str, np.ndarray]) -> dict[str, Tensor]:
-    """Run the stacked fg/pool/cg layers; coords must be pre-centered."""
+                  mapping: CGMapping, gt_list: list[np.ndarray],
+                  ref_coords: np.ndarray) -> tuple[list[Tensor], Tensor]:
+    """Run the stacked fg/pool/cg layers over K ground-truth paths and one
+    reference path; inputs are centered here."""
+    coords: dict[PathKey, np.ndarray] = {k: center(gt)[0] for k, gt in enumerate(gt_list)}
+    coords[REF] = center(ref_coords)[0]
     edges = directed_edges(graph)
     fg_states = {p: init_fg_state(store, cfg, graph, c, ref_path=(p == REF))
                  for p, c in coords.items()}
@@ -260,7 +267,19 @@ def _encode_paths(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph
                                    mapping, ref_path=(p == REF))
                      for p in fg_states}
         cg_states = cg_layer(store, cfg, layer, cg_states, bead_edges)
-    return {p: st.v for p, st in cg_states.items()}
+    return [cg_states[k].v for k in range(len(gt_list))], cg_states[REF].v
+
+
+def encode_ensemble(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
+                    mapping: CGMapping, gt_list: list[np.ndarray],
+                    ref_coords: np.ndarray) -> tuple[list[Tensor], Tensor]:
+    """Encode K ground-truth conformers beside one reference encode.
+
+    Returns the K ground-truth latents and the reference latent; each
+    ground-truth latent equals ``encode(gt, ref)[0]`` bit for bit. Inputs are
+    centered internally.
+    """
+    return _encode_paths(store, cfg, graph, mapping, list(gt_list), ref_coords)
 
 
 def encode(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
@@ -268,14 +287,11 @@ def encode(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
            ref_coords: np.ndarray) -> tuple[Tensor, Tensor]:
     """Encode both conformers into latent tensors (Z for ground truth, Z~ for
     the reference). Inputs are centered internally."""
-    gt_c, _ = center(gt_coords)
-    ref_c, _ = center(ref_coords)
-    latents = _encode_paths(store, cfg, graph, mapping, {GT: gt_c, REF: ref_c})
-    return latents[GT], latents[REF]
+    z_gts, z_ref = _encode_paths(store, cfg, graph, mapping, [gt_coords], ref_coords)
+    return z_gts[0], z_ref
 
 
 def encode_reference(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
                      mapping: CGMapping, ref_coords: np.ndarray) -> Tensor:
     """Encode only the reference path (used by the learned prior at inference)."""
-    ref_c, _ = center(ref_coords)
-    return _encode_paths(store, cfg, graph, mapping, {REF: ref_c})[REF]
+    return _encode_paths(store, cfg, graph, mapping, [], ref_coords)[1]

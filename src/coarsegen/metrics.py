@@ -46,12 +46,8 @@ def build_rmsd_matrix(generated: list[np.ndarray],
     return kernels.rmsd_matrix(a, b)
 
 
-def ensemble_report(generated: list[np.ndarray], truth: list[np.ndarray],
-                    delta: float) -> EnsembleReport:
-    """Coverage and AMR in both directions, with the full RMSD matrix."""
-    if not generated or not truth:
-        raise ValueError("both ensembles must be nonempty")
-    mat = build_rmsd_matrix(generated, truth)
+def _report_from_matrix(mat: np.ndarray, delta: float) -> EnsembleReport:
+    """Coverage and AMR in both directions from a K x L RMSD matrix."""
     min_gen = mat.min(axis=1)     # best truth match per generated conformer
     min_truth = mat.min(axis=0)   # best generated match per truth conformer
     return EnsembleReport(
@@ -62,22 +58,38 @@ def ensemble_report(generated: list[np.ndarray], truth: list[np.ndarray],
         rmsd_matrix=mat,
         min_per_generated=min_gen,
         min_per_truth=min_truth,
-        n_generated=len(generated),
-        n_truth=len(truth),
+        n_generated=mat.shape[0],
+        n_truth=mat.shape[1],
         delta=delta,
     )
+
+
+def ensemble_report(generated: list[np.ndarray], truth: list[np.ndarray],
+                    delta: float) -> EnsembleReport:
+    """Coverage and AMR in both directions, with the full RMSD matrix."""
+    if not generated or not truth:
+        raise ValueError("both ensembles must be nonempty")
+    return _report_from_matrix(build_rmsd_matrix(generated, truth), delta)
 
 
 def budget_sweep(generated_pool: list[np.ndarray], truth: list[np.ndarray],
                  budgets: list[int], delta: float) -> list[EnsembleReport]:
     """Reports on nested prefixes of the generated pool (recall can only
-    improve as the budget grows)."""
-    reports = []
+    improve as the budget grows).
+
+    The RMSD matrix of the largest prefix is computed once; the report for a
+    budget k reads its first k rows, which equal the rows of the k-prefix
+    matrix because every entry is computed on its own.
+    """
     for k in budgets:
         if k < 1 or k > len(generated_pool):
             raise ValueError(f"budget {k} out of range")
-        reports.append(ensemble_report(generated_pool[:k], truth, delta))
-    return reports
+    if not budgets:
+        return []
+    if not truth:
+        raise ValueError("both ensembles must be nonempty")
+    mat = build_rmsd_matrix(generated_pool[:max(budgets)], truth)
+    return [_report_from_matrix(mat[:k].copy(), delta) for k in budgets]
 
 
 def error_histogram(report: EnsembleReport, n_bins: int = 20):

@@ -4,6 +4,12 @@ learned RBF expansions and scaled dot-product attention.
 All blocks read their weights from a :class:`~coarsegen.params.ParameterStore`
 under a caller-supplied name prefix; creating and applying a block are the
 same call, so parameters materialize lazily on first use.
+
+``mlp``, ``affine``, ``vn_nonlin``, ``vn_norms`` and the Gaussian basis of
+``rbf_expand`` are fused: each records one tape node with a hand-written
+backward, and computes its forward with the numpy operations, in the order,
+of the primitive-op chain it replaces, so its values are unchanged.
+``vn_linear`` is one matmul node; ``vn_mlp`` and ``attention`` are composed.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, concat, softmax
+from .autodiff import Tensor, _sigmoid, _unbroadcast, softmax
 from .molio import FEATURE_DIM
 from .params import ParameterStore
 
@@ -56,22 +62,50 @@ class ModelConfig:
         return "ref" if (ref_path and not self.share_paths) else "main"
 
 
+def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of ``x @ w`` with respect to ``w``, summed over leading axes."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
+def _bias_grad(g: np.ndarray) -> np.ndarray:
+    return g.reshape(-1, g.shape[-1]).sum(axis=0)
+
+
 def mlp(store: ParameterStore, prefix: str, x: Tensor,
         d_hidden: int, d_out: int) -> Tensor:
-    """Two affine layers with a SiLU between them."""
+    """Two affine layers with a SiLU between them, as one tape node."""
     d_in = x.shape[-1]
     w0 = store.new(f"{prefix}.w0", (d_in, d_hidden), fan_in=d_in)
     b0 = store.new(f"{prefix}.b0", (d_hidden,), fan_in=d_in)
     w1 = store.new(f"{prefix}.w1", (d_hidden, d_out), fan_in=d_hidden)
     b1 = store.new(f"{prefix}.b1", (d_out,), fan_in=d_hidden)
-    return (x @ w0 + b0).silu() @ w1 + b1
+    pre = np.matmul(x.data, w0.data) + b0.data
+    sig = _sigmoid(pre)
+    act = pre * sig
+    out_data = np.matmul(act, w1.data) + b1.data
+
+    def bw(g):
+        # d silu(p)/dp = s(p) (1 + p (1 - s(p)))
+        g_pre = np.matmul(g, w1.data.T) * (sig * (1.0 + pre * (1.0 - sig)))
+        g_x = np.matmul(g_pre, w0.data.T) if x.requires_grad else None
+        return (g_x, _weight_grad(x.data, g_pre), _bias_grad(g_pre),
+                _weight_grad(act, g), _bias_grad(g))
+
+    return Tensor(out_data, _parents=(x, w0, b0, w1, b1), _backward_fn=bw)
 
 
 def affine(store: ParameterStore, prefix: str, x: Tensor, d_out: int) -> Tensor:
+    """``x @ w + b`` as one tape node."""
     d_in = x.shape[-1]
     w = store.new(f"{prefix}.w", (d_in, d_out), fan_in=d_in)
     b = store.new(f"{prefix}.b", (d_out,), fan_in=d_in)
-    return x @ w + b
+    out_data = np.matmul(x.data, w.data) + b.data
+
+    def bw(g):
+        g_x = np.matmul(g, w.data.T) if x.requires_grad else None
+        return g_x, _weight_grad(x.data, g), _bias_grad(g)
+
+    return Tensor(out_data, _parents=(x, w, b), _backward_fn=bw)
 
 
 def vn_linear(store: ParameterStore, name: str, v: Tensor, f_out: int) -> Tensor:
@@ -89,11 +123,25 @@ def vn_nonlin(store: ParameterStore, name: str, v: Tensor) -> Tensor:
     """
     f = v.shape[-2]
     u = store.new(name, (f, f), fan_in=f)
-    d = u @ v
-    dot = (v * d).sum(axis=-1, keepdims=True)
+    vd, ud = v.data, u.data
+    d = np.matmul(ud, vd)
+    dot = (vd * d).sum(axis=-1, keepdims=True)
     dnorm2 = (d * d).sum(axis=-1, keepdims=True) + _VN_EPS
-    mask = Tensor((dot.data < 0.0).astype(np.float64))
-    return v - mask * (dot / dnorm2) * d
+    mask = (dot < 0.0).astype(np.float64)
+    scale = dot / dnorm2
+    out_data = vd - mask * scale * d
+
+    def bw(g):
+        # out = v - mask * (dot / dnorm2) * d, with d = u v, dot = <v, d>,
+        # dnorm2 = <d, d> + eps; the mask is piecewise constant
+        g_scale = -mask * (g * d).sum(axis=-1, keepdims=True)
+        g_dot = g_scale / dnorm2
+        g_d = -(mask * scale) * g + g_dot * vd - (2.0 * g_scale * scale / dnorm2) * d
+        g_v = g + g_dot * d + np.matmul(ud.T, g_d)
+        g_u = _unbroadcast(np.matmul(g_d, np.swapaxes(vd, -1, -2)), ud.shape)
+        return g_v, g_u
+
+    return Tensor(out_data, _parents=(v, u), _backward_fn=bw)
 
 
 def vn_mlp(store: ParameterStore, prefix: str, v: Tensor,
@@ -106,7 +154,9 @@ def vn_mlp(store: ParameterStore, prefix: str, v: Tensor,
 
 def vn_norms(v: Tensor) -> Tensor:
     """Per-channel Euclidean norms of (..., F, 3) features (rotation invariant)."""
-    return ((v * v).sum(axis=-1) + _VN_EPS).sqrt()
+    out_data = np.sqrt((v.data * v.data).sum(axis=-1) + _VN_EPS)
+    return Tensor(out_data, _parents=(v,),
+                  _backward_fn=lambda g: ((g / out_data)[..., None] * v.data,))
 
 
 def rbf_expand(store: ParameterStore, prefix: str, d: Tensor,
@@ -114,8 +164,13 @@ def rbf_expand(store: ParameterStore, prefix: str, d: Tensor,
     """Gaussian radial basis of a distance, through a learned linear map."""
     if np.any(d.data < 0.0):
         raise ValueError("distances must be nonnegative")
-    z = (d.reshape(-1, 1) - Tensor(centers)) / width
-    basis = (-0.5 * z * z).exp()
+    z = (d.data.reshape(-1, 1) - centers) / width
+    basis_data = np.exp(-0.5 * z * z)
+
+    def bw(g):
+        return ((-(g * basis_data * z).sum(axis=1) / width).reshape(d.shape),)
+
+    basis = Tensor(basis_data, _parents=(d,), _backward_fn=bw)
     return affine(store, prefix, basis, d_out)
 
 

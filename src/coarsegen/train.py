@@ -17,7 +17,7 @@ from .autodiff import Tensor, backward
 from .coarsen import build_bead_graph, order_beads
 from .corpus import ToyMolecule, make_corpus
 from .decoder import decode_ar, decode_ot
-from .encoder import center, encode
+from .encoder import center, encode, encode_ensemble
 from .latent import kl_divergence, posterior_params, prior_params, sample
 from .losses import LossWeights, aligned_mse, distance_loss, elbo_loss, ot_loss
 from .nn import ModelConfig
@@ -95,12 +95,17 @@ def molecule_loss(store: ParameterStore, cfg: ModelConfig, mol: ToyMolecule,
         truth = [center(t.coords)[0] for t in mol.truth_ensemble]
         k = min(run.ot_samples, len(truth))
         truth = truth[:k]
+        # one reference encode and one prior serve all K posteriors
+        z_truth, z_ref = encode_ensemble(store, cfg, graph, mapping, truth, ref_c)
         generated = []
         kl_total = None
-        for t_c in truth:
-            z_t, z_ref = encode(store, cfg, graph, mapping, t_c, ref_c)
+        prior = None
+        for z_t in z_truth:
             post = posterior_params(store, cfg, z_t, z_ref)
-            prior = prior_params(store, cfg, z_ref)
+            if prior is None:
+                # after the first posterior: a fresh store draws initial
+                # values in creation order, posterior heads first
+                prior = prior_params(store, cfg, z_ref)
             term = kl_divergence(post, prior)
             kl_total = term if kl_total is None else kl_total + term
             z = sample(post, rng)

@@ -7,7 +7,7 @@ import pytest
 from coarsegen.autodiff import Tensor
 from coarsegen.coarsen import build_bead_graph, order_beads
 from coarsegen.decoder import (GenerationState, ar_step, channel_selection,
-                               decode_ar, decode_ot, generate)
+                               decode_ar, decode_ot, generate, generate_ensemble)
 from coarsegen.geometry import random_rotation
 from coarsegen.nn import ModelConfig
 from coarsegen.params import ParameterStore
@@ -176,6 +176,19 @@ class TestGenerate:
         b = generate(store, cfg, graph, mapping, ref, order,
                      np.random.default_rng(3)).coords
         np.testing.assert_array_equal(a, b)
+
+    def test_ensemble_equals_successive_generates(self, mol, cfg):
+        graph, mapping, _, ref, order = mol
+        store = ParameterStore(seed=4)
+        rng = np.random.default_rng(8)
+        one_by_one = [generate(store, cfg, graph, mapping, ref, order, rng).coords
+                      for _ in range(4)]
+        store = ParameterStore(seed=4)
+        batch = generate_ensemble(store, cfg, graph, mapping, ref, order,
+                                  np.random.default_rng(8), 4)
+        assert len(batch) == 4
+        for a, b in zip(one_by_one, batch):
+            assert np.array_equal(a, b.coords)
 
     def test_ot_mode_runs(self, mol, cfg, store):
         graph, mapping, _, ref, order = mol

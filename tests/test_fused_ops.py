@@ -1,0 +1,208 @@
+"""Fused tape ops: each forward equals the primitive-op chain it replaces bit
+for bit, each hand-written backward passes a central-difference check with
+respect to the input and every parameter, and each op records one node.
+Also: one ensemble encode equals the per-conformer encodes bit for bit."""
+
+import numpy as np
+import pytest
+
+from coarsegen.autodiff import Tensor, backward, softmax
+from coarsegen.encoder import encode, encode_ensemble, encode_reference
+from coarsegen.nn import _VN_EPS, affine, mlp, rbf_expand, vn_nonlin, vn_norms
+from coarsegen.params import ParameterStore
+from tests.conftest import butane_like
+
+SEED = 71
+H = 1e-6
+TOL = 1e-6
+
+
+def tape_nodes(out: Tensor) -> int:
+    """Recorded operations reachable from ``out``."""
+    seen, stack, n = set(), [out], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        n += node._backward_fn is not None
+        stack.extend(node._parents)
+    return n
+
+
+def check_grads(make_output, x: np.ndarray, store: ParameterStore, rng) -> None:
+    """Backprop gradients of <make_output(x), w> against central differences,
+    with respect to ``x`` and to every parameter in ``store``."""
+    t = Tensor(x.copy(), requires_grad=True)
+    out = make_output(t)
+    w = rng.standard_normal(out.shape)
+    store.zero_grad()
+    backward((out * Tensor(w)).sum())
+    arrays = [(x, t.grad)] + [(p.data, p.grad) for p in store.params.values()]
+    for arr, grad in arrays:
+        assert grad is not None
+        fd = np.zeros_like(arr)
+        flat, fd_flat = arr.reshape(-1), fd.reshape(-1)
+        for k in range(flat.size):
+            orig = flat[k]
+            vals = []
+            for step in (H, -H):
+                flat[k] = orig + step
+                vals.append(float((make_output(Tensor(x)).data * w).sum()))
+            flat[k] = orig
+            fd_flat[k] = (vals[0] - vals[1]) / (2 * H)
+        np.testing.assert_allclose(grad, fd, rtol=TOL, atol=TOL)
+
+
+@pytest.fixture
+def rng():
+    return np.random.default_rng(SEED)
+
+
+@pytest.fixture
+def store():
+    return ParameterStore(seed=SEED)
+
+
+class TestMlp:
+    def test_forward_matches_primitive_chain(self, store, rng):
+        x = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
+        out = mlp(store, "m", x, 7, 3)
+        w0, b0, w1, b1 = (store[f"m.{n}"] for n in ("w0", "b0", "w1", "b1"))
+        want = (x @ w0 + b0).silu() @ w1 + b1
+        assert np.array_equal(out.data, want.data)
+
+    def test_gradcheck(self, store, rng):
+        check_grads(lambda t: mlp(store, "m", t, 7, 3),
+                    rng.standard_normal((6, 5)), store, rng)
+
+    def test_gradcheck_batched_input(self, store, rng):
+        check_grads(lambda t: mlp(store, "m", t, 4, 2),
+                    rng.standard_normal((2, 3, 5)), store, rng)
+
+    def test_saturated_sigmoid_stays_finite(self, store):
+        x = Tensor(np.array([[800.0], [-800.0]]), requires_grad=True)
+        mlp(store, "m", x, 1, 1)
+        store["m.w0"].data[:] = 1.0
+        out = mlp(store, "m", x, 1, 1)
+        backward(out.sum())
+        assert np.all(np.isfinite(out.data)) and np.all(np.isfinite(x.grad))
+
+    def test_one_node(self, store, rng):
+        x = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
+        assert tape_nodes(mlp(store, "m", x, 7, 3)) == 1
+
+
+class TestAffine:
+    def test_forward_matches_primitive_chain(self, store, rng):
+        x = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
+        out = affine(store, "a", x, 4)
+        assert np.array_equal(out.data, (x @ store["a.w"] + store["a.b"]).data)
+
+    def test_gradcheck(self, store, rng):
+        check_grads(lambda t: affine(store, "a", t, 4),
+                    rng.standard_normal((6, 5)), store, rng)
+
+    def test_one_node(self, store, rng):
+        x = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
+        assert tape_nodes(affine(store, "a", x, 4)) == 1
+
+
+class TestVnNonlin:
+    def test_forward_matches_primitive_chain(self, store, rng):
+        v = Tensor(rng.standard_normal((7, 5, 3)), requires_grad=True)
+        out = vn_nonlin(store, "u", v)
+        u = store["u"]
+        d = u @ v
+        dot = (v * d).sum(axis=-1, keepdims=True)
+        dnorm2 = (d * d).sum(axis=-1, keepdims=True) + _VN_EPS
+        mask = Tensor((dot.data < 0.0).astype(np.float64))
+        want = v - mask * (dot / dnorm2) * d
+        assert np.array_equal(out.data, want.data)
+
+    def test_gradcheck_both_sides_of_mask(self, store, rng):
+        v = rng.standard_normal((7, 5, 3))
+        vn_nonlin(store, "u", Tensor(v))
+        dot = np.sum(v * (store["u"].data @ v), axis=-1)
+        # both branches are exercised, and no channel sits on the switch
+        assert (dot < 0).any() and (dot > 0).any()
+        assert np.abs(dot).min() > 1e-3
+        check_grads(lambda t: vn_nonlin(store, "u", t), v, store, rng)
+
+    def test_one_node(self, store, rng):
+        v = Tensor(rng.standard_normal((7, 5, 3)), requires_grad=True)
+        assert tape_nodes(vn_nonlin(store, "u", v)) == 1
+
+
+class TestVnNorms:
+    def test_forward_matches_primitive_chain(self, rng):
+        v = Tensor(rng.standard_normal((6, 4, 3)), requires_grad=True)
+        want = ((v * v).sum(axis=-1) + _VN_EPS).sqrt()
+        assert np.array_equal(vn_norms(v).data, want.data)
+
+    def test_gradcheck(self, store, rng):
+        check_grads(vn_norms, rng.standard_normal((6, 4, 3)), store, rng)
+
+    def test_one_node(self, rng):
+        v = Tensor(rng.standard_normal((6, 4, 3)), requires_grad=True)
+        assert tape_nodes(vn_norms(v)) == 1
+
+
+class TestRbfExpand:
+    CENTERS = np.linspace(0.0, 10.0, 16)
+    WIDTH = 10.0 / 15
+
+    def distances(self, rng):
+        # one distance sits exactly on a center, where the basis peaks
+        return np.concatenate([rng.uniform(0.1, 10.0, size=6), self.CENTERS[[3]]])
+
+    def test_forward_matches_primitive_chain(self, store, rng):
+        d = Tensor(self.distances(rng), requires_grad=True)
+        out = rbf_expand(store, "r", d, self.CENTERS, self.WIDTH, 4)
+        z = (d.reshape(-1, 1) - Tensor(self.CENTERS)) / self.WIDTH
+        basis = (-0.5 * z * z).exp()
+        want = basis @ store["r.w"] + store["r.b"]
+        assert np.array_equal(out.data, want.data)
+
+    def test_gradcheck(self, store, rng):
+        check_grads(lambda t: rbf_expand(store, "r", t, self.CENTERS, self.WIDTH, 4),
+                    self.distances(rng), store, rng)
+
+    def test_basis_and_map_are_one_node_each(self, store, rng):
+        d = Tensor(self.distances(rng), requires_grad=True)
+        out = rbf_expand(store, "r", d, self.CENTERS, self.WIDTH, 4)
+        assert tape_nodes(out) == 2
+
+
+class TestSoftmax:
+    def test_forward_matches_primitive_chain(self, rng):
+        t = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
+        for axis in (0, 1):
+            shifted = t - Tensor(t.data.max(axis=axis, keepdims=True))
+            e = shifted.exp()
+            want = e / e.sum(axis=axis, keepdims=True)
+            assert np.array_equal(softmax(t, axis=axis).data, want.data)
+
+    def test_gradcheck(self, store, rng):
+        for axis in (0, 1):
+            check_grads(lambda t: softmax(t, axis=axis),
+                        rng.standard_normal((4, 6)), store, rng)
+
+    def test_one_node(self, rng):
+        t = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
+        assert tape_nodes(softmax(t, axis=1)) == 1
+
+
+def test_encode_ensemble_matches_single_encodes(small_cfg):
+    graph, mapping, _, ref = butane_like(seed=5)
+    rng = np.random.default_rng(SEED)
+    gts = [ref + 0.3 * rng.standard_normal(ref.shape) for _ in range(3)]
+    store = ParameterStore(seed=SEED)
+    z_gts, z_ref = encode_ensemble(store, small_cfg, graph, mapping, gts, ref)
+    assert len(z_gts) == 3
+    solo = encode_reference(store, small_cfg, graph, mapping, ref)
+    assert np.array_equal(z_ref.data, solo.data)
+    for gt, z in zip(gts, z_gts):
+        z_one, z_ref_one = encode(store, small_cfg, graph, mapping, gt, ref)
+        assert np.array_equal(z.data, z_one.data)
+        assert np.array_equal(z_ref.data, z_ref_one.data)

@@ -84,6 +84,21 @@ class TestBudgetSweep:
             assert all(x <= y + 1e-12 for x, y in zip(recalls, recalls[1:]))
             assert all(x >= y - 1e-12 for x, y in zip(amrs, amrs[1:]))
 
+    def test_reports_equal_prefix_reports(self):
+        rng = np.random.default_rng(23)
+        pool = [rng.standard_normal((5, 3)) for _ in range(8)]
+        truth = [rng.standard_normal((5, 3)) for _ in range(3)]
+        budgets = [1, 3, 8, 2]
+        for k, rep in zip(budgets, budget_sweep(pool, truth, budgets, delta=1.5)):
+            want = ensemble_report(pool[:k], truth, delta=1.5)
+            assert np.array_equal(rep.rmsd_matrix, want.rmsd_matrix)
+            assert np.array_equal(rep.min_per_generated, want.min_per_generated)
+            assert np.array_equal(rep.min_per_truth, want.min_per_truth)
+            assert (rep.cov_precision, rep.cov_recall, rep.amr_precision,
+                    rep.amr_recall, rep.n_generated, rep.n_truth, rep.delta) == (
+                want.cov_precision, want.cov_recall, want.amr_precision,
+                want.amr_recall, want.n_generated, want.n_truth, want.delta)
+
     def test_budget_out_of_range(self):
         pool = [conf(0)]
         with pytest.raises(ValueError):
