@@ -1,13 +1,17 @@
-"""Benchmark the compiled (numba) kernel path against the pure-numpy fallback.
+"""Time the geometric kernels at fixed sizes, from the repository root:
 
-Run twice, once per path, from the repository root:
+    PYTHONPATH=src python benchmarks/bench_kernels.py [--repeat N]
 
-    python benchmarks/bench_kernels.py
-    COARSEGEN_DISABLE_NUMBA=1 python benchmarks/bench_kernels.py
+Each kernel is called once to warm up, then ``--repeat`` times; the median
+and quartiles of those calls are printed in ms. One process sees the drift
+of a shared machine, so compare two versions by alternating runs of this
+script, not by one run each.
 """
 
 from __future__ import annotations
 
+import argparse
+import statistics
 import time
 
 import numpy as np
@@ -15,34 +19,32 @@ import numpy as np
 from coarsegen import kernels
 
 
-def bench(label, fn, *args, repeat: int = 5, warmup: int = 1) -> float:
-    for _ in range(warmup):
-        fn(*args)
+def bench(label, fn, *args, repeat: int) -> None:
+    fn(*args)
     times = []
     for _ in range(repeat):
         t0 = time.perf_counter()
         fn(*args)
-        times.append(time.perf_counter() - t0)
-    best = min(times)
-    print(f"{label:<32s} {best * 1e3:10.3f} ms")
-    return best
+        times.append(1e3 * (time.perf_counter() - t0))
+    q1, med, q3 = statistics.quantiles(times, n=4)
+    print(f"{label:<32s} median {med:9.3f} ms  quartiles {q1:.3f}-{q3:.3f} ms  (n={repeat})")
 
 
 def main() -> None:
-    path = "numba" if kernels.HAVE_NUMBA else "numpy"
-    print(f"kernel path: {path}")
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--repeat", type=int, default=21)
+    args = p.parse_args()
+    if args.repeat < 2:
+        p.error("--repeat must be at least 2 to give quartiles")
     rng = np.random.default_rng(0)
 
     coords = rng.uniform(0, 30, size=(2000, 3))
-    bench("pairs_within_cutoff n=2000", kernels.pairs_within_cutoff, coords, 4.0)
-
-    d = rng.uniform(0, 10, size=100_000)
-    centers = np.linspace(0, 10, 16)
-    bench("gaussian_basis n=100k", kernels.gaussian_basis, d, centers, 0.6667)
+    bench("pairs_within_cutoff n=2000", kernels.pairs_within_cutoff, coords, 4.0,
+          repeat=args.repeat)
 
     a = rng.standard_normal((64, 40, 3))
     b = rng.standard_normal((64, 40, 3))
-    bench("rmsd_matrix 64x64 m=40", kernels.rmsd_matrix, a, b)
+    bench("rmsd_matrix 64x64 m=40", kernels.rmsd_matrix, a, b, repeat=args.repeat)
 
 
 if __name__ == "__main__":

@@ -1,0 +1,104 @@
+"""Print SHA-256 digests of the model's numbers, to compare two versions of
+the package bit for bit. From the repository root:
+
+    PYTHONPATH=src python benchmarks/numerics_digest.py
+
+Run it once per version (point ``PYTHONPATH`` at each ``src``) and compare
+the lines. Each line digests the raw float64 bytes of:
+
+- ``ot`` / ``elbo-ar``: the loss of each of 10 toy molecules from a fresh
+  parameter store, and every parameter gradient after its backward;
+- ``generate``: 40 conformers drawn with ``decoder.generate``;
+- ``rmsd_matrix``: the RMSD matrices of 30 random stack pairs;
+- ``train``: the checkpoint bytes after 2 epochs of ``ot`` training with Adam.
+
+Only public names that older versions also have are used.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib
+import os
+import tempfile
+
+import numpy as np
+
+from coarsegen import autodiff, coarsen, corpus, decoder, kernels
+from coarsegen.params import ParameterStore
+
+train = importlib.import_module("coarsegen.train")   # the package exports a function of that name
+
+N_MOLECULES = 10
+
+
+def digest(chunks) -> str:
+    h = hashlib.sha256()
+    for c in chunks:
+        h.update(np.ascontiguousarray(c, dtype=np.float64).tobytes())
+    return h.hexdigest()[:16]
+
+
+def loss_and_grads(preset: str, mols) -> str:
+    run = train.RunConfig(preset=preset, seed=3, ot_samples=3)
+    cfg = run.model_config()
+    store = ParameterStore(seed=3)
+    rng = np.random.default_rng(4)
+    chunks = []
+    for mol in mols:
+        store.zero_grad()
+        loss, _ = train.molecule_loss(store, cfg, mol, run, 1, rng)
+        autodiff.backward(loss)
+        chunks.append(loss.data)
+        for name in store.names():
+            g = store[name].grad
+            chunks.append(np.zeros(0) if g is None else g)
+    return digest(chunks)
+
+
+def draws(mols) -> str:
+    cfg = train.RunConfig().model_config()
+    store = ParameterStore(seed=5)
+    rng = np.random.default_rng(6)
+    chunks = []
+    for mol in mols[:4]:
+        order = coarsen.order_beads(
+            mol.mapping, coarsen.build_bead_graph(mol.graph, mol.mapping, cfg.aux_cutoff))
+        for _ in range(10):
+            chunks.append(decoder.generate(store, cfg, mol.graph, mol.mapping,
+                                           mol.ref.coords, order, rng).coords)
+    return digest(chunks)
+
+
+def rmsd_matrices() -> str:
+    rng = np.random.default_rng(7)
+    chunks = []
+    for _ in range(30):
+        k, l, m = rng.integers(1, 33), rng.integers(1, 17), rng.integers(3, 41)
+        a = rng.uniform(1, 20) * rng.standard_normal((k, m, 3))
+        b = rng.uniform(1, 20) * rng.standard_normal((l, m, 3))
+        chunks.append(kernels.rmsd_matrix(a, b))
+    return digest(chunks)
+
+
+def checkpoint() -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        run = train.RunConfig(preset="ot", epochs=2, lr=1e-2, batch_size=2,
+                              corpus_size=4, optimizer="adam", seed=8,
+                              checkpoint_dir=tmp)
+        train.train(run)
+        with open(os.path.join(tmp, "ckpt_epoch1.bin"), "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()[:16]
+
+
+def main() -> None:
+    mols = corpus.make_corpus(N_MOLECULES, 11, n_truth=5)
+    print(f"ot           {loss_and_grads('ot', mols)}")
+    print(f"elbo-ar      {loss_and_grads('elbo-ar', mols)}")
+    print(f"generate     {draws(mols)}")
+    print(f"rmsd_matrix  {rmsd_matrices()}")
+    print(f"train        {checkpoint()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -7,8 +7,8 @@ quality metrics — all on a small custom reverse-mode autodiff engine.
 """
 
 from .autodiff import Tensor, backward
-from .coarsen import (CGMapping, build_bead_graph, build_pooling_graph,
-                      coarse_grain, find_rotatable_bonds, order_beads)
+from .coarsen import (CGMapping, build_bead_graph, coarse_grain,
+                      find_rotatable_bonds, order_beads)
 from .corpus import ToyMolecule, make_corpus
 from .decoder import (channel_selection, decode_ar, decode_ot, generate,
                       generate_ensemble)
@@ -33,7 +33,7 @@ __all__ = [
     "GaussianLatent", "LossWeights", "ModelConfig", "MolecularGraph",
     "ParameterStore", "ParseError", "RunConfig", "Tensor", "ToyMolecule",
     "TrainResult", "TransportPlan", "aligned_mse", "aligned_rmsd", "backward",
-    "budget_sweep", "build_bead_graph", "build_graph", "build_pooling_graph",
+    "budget_sweep", "build_bead_graph", "build_graph",
     "channel_selection", "coarse_grain", "decode_ar", "decode_ot",
     "distance_loss", "elbo_loss", "emd_solve", "encode", "encode_ensemble",
     "encode_reference", "ensemble_report", "error_histogram",

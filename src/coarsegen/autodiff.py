@@ -15,6 +15,10 @@ as that chain, so forward values are unchanged.
 
 from __future__ import annotations
 
+import contextlib
+import gc
+from itertools import accumulate
+
 import numpy as np
 
 
@@ -230,10 +234,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def concat(tensors, axis=0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
 
     def bw(g):
+        splits = list(accumulate(t.data.shape[axis] for t in tensors[:-1]))
         return tuple(np.split(g, splits, axis=axis))
 
     return Tensor(out_data, _parents=tuple(tensors), _backward_fn=bw)
@@ -269,6 +272,25 @@ def softmax(t: Tensor, axis=-1) -> Tensor:
         return (out_data * (g - (g * out_data).sum(axis=axis, keepdims=True)),)
 
     return Tensor(out_data, _parents=(t,), _backward_fn=bw)
+
+
+@contextlib.contextmanager
+def gc_paused():
+    """Pause Python's cyclic garbage collector for the block.
+
+    A tape holds no reference cycles: every backward closure refers to its
+    node's inputs and to arrays, never to the node itself. Reference
+    counting frees it, and the collector's scans of its many live nodes
+    find nothing. The caller's enabled or disabled state is restored on
+    exit, also when the block raises.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def backward(out: Tensor) -> None:

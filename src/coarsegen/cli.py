@@ -20,7 +20,7 @@ from .checks import equivariance_check, gradient_check
 from .coarsen import build_bead_graph, coarse_grain, order_beads
 from .decoder import generate_ensemble
 from .losses import LossWeights
-from .metrics import budget_sweep, ensemble_report, error_histogram, format_report
+from .metrics import budget_sweep, error_histogram, format_report
 from .molio import ParseError, parse_sdf, write_sdf_records
 from .nn import ModelConfig
 from .params import ParameterStore
@@ -216,13 +216,13 @@ def _cmd_eval(args) -> int:
     truth = [c.coords for _, c in _parse_sdf_file(args.truth)]
     if not gen or not truth:
         raise SystemExit("error: both files must contain at least one record")
-    report = ensemble_report(gen, truth, args.delta)
+    budgets = [int(b) for b in args.budgets.split(",")] if args.budgets else []
+    # one RMSD matrix serves every budget and, as its full prefix, the report
+    *sweep, report = budget_sweep(gen, truth, budgets + [len(gen)], args.delta)
     print(format_report(report))
-    if args.budgets:
-        budgets = [int(b) for b in args.budgets.split(",")]
-        for b, rep in zip(budgets, budget_sweep(gen, truth, budgets, args.delta)):
-            print(f"budget {b}: cov_recall {rep.cov_recall:.2f} % "
-                  f"amr_recall {rep.amr_recall:.6f} A")
+    for b, rep in zip(budgets, sweep):
+        print(f"budget {b}: cov_recall {rep.cov_recall:.2f} % "
+              f"amr_recall {rep.amr_recall:.6f} A")
     if args.histogram:
         edges, counts = error_histogram(report)
         with open(args.histogram, "w", encoding="utf-8") as fh:

@@ -2,9 +2,9 @@
 
 Rotatable bonds are severed and each resulting connected component of the
 covalent graph becomes one bead; k rotatable bonds on a connected molecule
-give k + 1 beads. Also builds the atom-to-bead pooling graph, the
-bead-level graph (severed-bond edges plus auxiliary centroid edges) and a
-size/degree-prioritized BFS generation order over beads.
+give k + 1 beads. Also builds the bead-level graph (severed-bond edges plus
+auxiliary centroid edges) and a size/degree-prioritized BFS generation
+order over beads.
 """
 
 from __future__ import annotations
@@ -18,23 +18,30 @@ from .kernels import pairs_within_cutoff
 from .molio import Conformer, MolecularGraph
 
 
-@dataclass
+@dataclass(frozen=True)
 class CGMapping:
-    assignment: list[int]                 # atom index -> bead index
-    members: list[set[int]]               # bead index -> atom index set
-    bead_centroids: np.ndarray            # N x 3
-    severed_bonds: list[int]              # indices into graph.bonds
+    """Atom-to-bead assignment of one molecule; immutable once built.
+
+    Index structure derived from it is cached in ``_topology`` by
+    :mod:`coarsegen.topology`.
+    """
+    assignment: tuple[int, ...]           # atom index -> bead index
+    members: tuple[frozenset[int], ...]   # bead index -> atom index set
+    bead_centroids: np.ndarray            # N x 3, read-only
+    severed_bonds: tuple[int, ...]        # indices into graph.bonds
+    _topology: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        centroids = np.array(self.bead_centroids, dtype=np.float64)
+        centroids.flags.writeable = False
+        object.__setattr__(self, "assignment", tuple(self.assignment))
+        object.__setattr__(self, "members", tuple(map(frozenset, self.members)))
+        object.__setattr__(self, "bead_centroids", centroids)
+        object.__setattr__(self, "severed_bonds", tuple(self.severed_bonds))
 
     @property
     def n_beads(self) -> int:
         return len(self.members)
-
-
-@dataclass
-class PoolingGraph:
-    n_fine: int
-    n_coarse: int
-    edges: list[tuple[int, int]]          # (atom index, bead index), one per atom
 
 
 @dataclass
@@ -137,12 +144,6 @@ def coarse_grain(graph: MolecularGraph, conformer: Conformer) -> CGMapping:
     for bead, atom_set in enumerate(members):
         centroids[bead] = conformer.coords[sorted(atom_set)].mean(axis=0)
     return CGMapping(assignment, members, centroids, severed)
-
-
-def build_pooling_graph(mapping: CGMapping) -> PoolingGraph:
-    """One directed fine-to-coarse edge per atom, into its bead."""
-    edges = [(atom, bead) for atom, bead in enumerate(mapping.assignment)]
-    return PoolingGraph(len(mapping.assignment), mapping.n_beads, edges)
 
 
 def build_bead_graph(graph: MolecularGraph, mapping: CGMapping,

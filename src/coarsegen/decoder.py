@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, concat, segment_sum, softmax
+from . import topology
+from .autodiff import Tensor, concat, gc_paused, segment_sum, softmax
 from .coarsen import CGMapping
 from .encoder import center, encode_reference
 from .latent import prior_params, sample
@@ -66,22 +67,6 @@ class GenerationState:
         return coords.mean(axis=0)
 
 
-def _local_edges(graph: MolecularGraph, atoms: list[int]):
-    """Covalent + auxiliary directed edges restricted to an atom subset."""
-    pos = {a: k for k, a in enumerate(atoms)}
-    src, dst = [], []
-    pairs = [(b.i, b.j) for b in graph.bonds] + list(graph.aux_edges)
-    for i, j in pairs:
-        if i in pos and j in pos:
-            src += [pos[i], pos[j]]
-            dst += [pos[j], pos[i]]
-    s = np.asarray(src, dtype=np.intp)
-    d = np.asarray(dst, dtype=np.intp)
-    deg = np.bincount(d, minlength=len(atoms)).astype(np.float64)
-    inv = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
-    return s, d, inv
-
-
 def _refine(store: ParameterStore, cfg: ModelConfig, x0: Tensor, x_ref: Tensor,
             h0: Tensor, edges, prev_coords: Tensor | None,
             prev_h: Tensor | None) -> tuple[Tensor, Tensor]:
@@ -128,7 +113,7 @@ def _refine(store: ParameterStore, cfg: ModelConfig, x0: Tensor, x_ref: Tensor,
 
 def _decoder_atom_features(store: ParameterStore, cfg: ModelConfig,
                            graph: MolecularGraph) -> Tensor:
-    return affine(store, "dec.emb", Tensor(graph.feature_matrix()), cfg.hidden_dim)
+    return affine(store, "dec.emb", Tensor(topology.atom_features(graph)), cfg.hidden_dim)
 
 
 def ar_step(store: ParameterStore, cfg: ModelConfig, state: GenerationState,
@@ -144,7 +129,7 @@ def ar_step(store: ParameterStore, cfg: ModelConfig, state: GenerationState,
     x0 = x_cs[np.asarray(members, dtype=np.intp)]
     x_ref = Tensor(np.asarray(ref_coords)[members])
     h0 = h0_all[np.asarray(members, dtype=np.intp)]
-    edges = _local_edges(graph, members)
+    edges = topology.local_edges(graph, members)
 
     if state.atom_ids:
         if teacher_coords is not None:
@@ -193,9 +178,8 @@ def decode_ot(store: ParameterStore, cfg: ModelConfig, z: Tensor,
     """Single-pass decoding: all atoms at once, no autoregressive context."""
     x_cs = channel_selection(z, mapping, ref_coords)
     h0_all = _decoder_atom_features(store, cfg, graph)
-    atoms = list(range(graph.n_atoms))
     x_ref = Tensor(np.asarray(ref_coords))
-    edges = _local_edges(graph, atoms)
+    edges = topology.local_edges(graph, range(graph.n_atoms))
     coords, _ = _refine(store, cfg, x_cs, x_ref, h0_all, edges, None, None)
     return coords
 
@@ -210,9 +194,22 @@ def generate_ensemble(store: ParameterStore, cfg: ModelConfig, graph: MolecularG
     The reference is encoded and the prior computed once; the draws use
     ``rng`` in turn, so the result equals ``num`` successive :func:`generate`
     calls. ``noise`` (num x beads x channels x 3) overrides the drawn eps.
+    The cyclic garbage collector is paused meanwhile (see
+    :func:`~coarsegen.autodiff.gc_paused`).
     """
     if mode not in ("ar", "ot"):
         raise ValueError(f"unknown decode mode {mode!r}")
+    # the tape is freed when _draw_ensemble returns, so the collector
+    # resumes with nothing new to scan
+    with gc_paused():
+        return _draw_ensemble(store, cfg, graph, mapping, ref_coords, order, rng,
+                              num, mode, noise)
+
+
+def _draw_ensemble(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
+                   mapping: CGMapping, ref_coords: np.ndarray, order: list[int],
+                   rng: np.random.Generator, num: int, mode: str,
+                   noise: np.ndarray | None) -> list[Conformer]:
     ref_c, centroid = center(np.asarray(ref_coords))
     z_ref = encode_reference(store, cfg, graph, mapping, ref_c)
     prior = prior_params(store, cfg, z_ref)

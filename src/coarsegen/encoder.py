@@ -16,11 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import topology
 from .autodiff import Tensor, concat, segment_sum
-from .coarsen import BeadGraph, CGMapping, build_bead_graph
+from .coarsen import CGMapping
 from .molio import MolecularGraph
 from .nn import ModelConfig, affine, attention, mlp, rbf_expand, vn_mlp, vn_norms
 from .params import ParameterStore
+from .topology import EdgeSet, directed_edges  # directed_edges: public name here too
 
 _DIST_EPS = 1e-12
 
@@ -53,52 +55,6 @@ class CgState:
     v: Tensor        # N x F x 3 equivariant features (zero-initialized)
 
 
-@dataclass
-class EdgeSet:
-    src: np.ndarray
-    dst: np.ndarray
-    feats: np.ndarray    # per directed edge
-    inv_degree: np.ndarray  # 1/deg per receiver (0 for isolated nodes)
-
-
-def directed_edges(graph: MolecularGraph) -> EdgeSet:
-    """Covalent + auxiliary edges, both directions, with bond-type one-hots."""
-    order_idx = {"single": 0, "double": 1, "triple": 2, "aromatic": 3}
-    src, dst, feats = [], [], []
-    for b in graph.bonds:
-        f = np.zeros(4)
-        f[order_idx[b.order]] = 1.0
-        for s, d in ((b.i, b.j), (b.j, b.i)):
-            src.append(s)
-            dst.append(d)
-            feats.append(f)
-    for i, j in graph.aux_edges:
-        for s, d in ((i, j), (j, i)):
-            src.append(s)
-            dst.append(d)
-            feats.append(np.zeros(4))
-    n = graph.n_atoms
-    src_a = np.asarray(src, dtype=np.intp)
-    dst_a = np.asarray(dst, dtype=np.intp)
-    deg = np.bincount(dst_a, minlength=n).astype(np.float64)
-    inv = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
-    f_a = np.stack(feats) if feats else np.zeros((0, 4))
-    return EdgeSet(src_a, dst_a, f_a, inv)
-
-
-def bead_edge_set(bead_graph: BeadGraph) -> EdgeSet:
-    src, dst = [], []
-    for i, j in bead_graph.edges:
-        src += [i, j]
-        dst += [j, i]
-    n = bead_graph.n_beads
-    src_a = np.asarray(src, dtype=np.intp)
-    dst_a = np.asarray(dst, dtype=np.intp)
-    deg = np.bincount(dst_a, minlength=n).astype(np.float64)
-    inv = np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
-    return EdgeSet(src_a, dst_a, np.zeros((len(src), 0)), inv)
-
-
 def _pair_dist2(x: Tensor, src, dst) -> Tensor:
     diff = x[dst] - x[src]
     return (diff * diff).sum(axis=1, keepdims=True)
@@ -107,17 +63,16 @@ def _pair_dist2(x: Tensor, src, dst) -> Tensor:
 def init_fg_state(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
                   coords: np.ndarray, ref_path: bool) -> FgState:
     ptag = cfg.path_tag(ref_path)
-    feats = Tensor(graph.feature_matrix())
+    feats = Tensor(topology.atom_features(graph))
     h0 = affine(store, f"enc.{ptag}.emb", feats, cfg.hidden_dim)
     x = Tensor(coords)
     return FgState(h=h0, x=x, x0=x, f=h0)
 
 
 def init_cg_state(cfg: ModelConfig, fg: FgState, mapping: CGMapping) -> CgState:
-    assignment = np.asarray(mapping.assignment, dtype=np.intp)
+    assignment, inv_size = topology.pooling_index(mapping)
     n_beads = mapping.n_beads
-    sizes = np.bincount(assignment, minlength=n_beads).astype(np.float64)
-    inv_sizes = Tensor((1.0 / sizes)[:, None])
+    inv_sizes = Tensor(inv_size)
     H0 = segment_sum(fg.h, assignment, n_beads) * inv_sizes
     X0 = segment_sum(fg.x, assignment, n_beads) * inv_sizes
     v0 = Tensor(np.zeros((n_beads, cfg.latent_channels, 3)))
@@ -169,11 +124,10 @@ def pool_layer(store: ParameterStore, cfg: ModelConfig, layer: int,
     lt = cfg.layer_tag(layer)
     D = cfg.hidden_dim
     pfx = f"enc.{cfg.path_tag(ref_path)}.pool.{lt}"
-    atom_idx = np.arange(len(mapping.assignment), dtype=np.intp)
-    bead_idx = np.asarray(mapping.assignment, dtype=np.intp)
+    bead_idx, inv_size = topology.pooling_index(mapping)
+    atom_idx = np.arange(len(bead_idx), dtype=np.intp)
     n_beads = mapping.n_beads
-    sizes = np.bincount(bead_idx, minlength=n_beads).astype(np.float64)
-    inv_sizes = Tensor((1.0 / sizes)[:, None])
+    inv_sizes = Tensor(inv_size)
 
     diff = cg.X[bead_idx] - fg.x[atom_idx]
     d2 = (diff * diff).sum(axis=1, keepdims=True)
@@ -259,7 +213,7 @@ def _encode_paths(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph
     fg_states = {p: init_fg_state(store, cfg, graph, c, ref_path=(p == REF))
                  for p, c in coords.items()}
     cg_states = {p: init_cg_state(cfg, st, mapping) for p, st in fg_states.items()}
-    bead_edges = bead_edge_set(build_bead_graph(graph, mapping, cfg.aux_cutoff))
+    bead_edges = topology.bead_edges(graph, mapping, cfg.aux_cutoff)
 
     for layer in range(cfg.layers):
         fg_states = fg_layer(store, cfg, layer, fg_states, edges)

@@ -1,146 +1,65 @@
-"""Hot geometric kernels with a numba fast path and a pure-numpy fallback.
-
-Set ``COARSEGEN_DISABLE_NUMBA=1`` to force the numpy implementations (the
-two paths are also compared in ``benchmarks/bench_kernels.py``). If numba
-is unavailable the fallback is selected automatically.
-"""
+"""Hot geometric kernels, vectorised in numpy."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLED = os.environ.get("COARSEGEN_DISABLE_NUMBA", "").strip() in ("1", "true", "yes")
-
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled by env flag")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # no-op decorator
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
+# Largest (rows, L, m, 3) residual block ``rmsd_matrix`` holds at once, in
+# float64 elements (8 MB); rows of ``a`` are processed in blocks under it.
+_BLOCK_ELEMENTS = 1 << 20
 
 
-# -- pairwise cutoff filter ----------------------------------------------------
-
-def _pairs_within_cutoff_numpy(coords: np.ndarray, cutoff: float) -> np.ndarray:
+def pairs_within_cutoff(coords: np.ndarray, cutoff: float) -> np.ndarray:
+    """All unordered index pairs (i < j) with Euclidean distance <= cutoff."""
+    coords = np.ascontiguousarray(coords, dtype=np.float64)
     n = coords.shape[0]
     if n < 2:
         return np.empty((0, 2), dtype=np.int64)
     diff = coords[:, None, :] - coords[None, :, :]
     d2 = np.einsum("ijk,ijk->ij", diff, diff)
     i, j = np.triu_indices(n, k=1)
-    mask = d2[i, j] <= cutoff * cutoff
+    mask = d2[i, j] <= float(cutoff) * float(cutoff)
     return np.stack([i[mask], j[mask]], axis=1).astype(np.int64)
 
 
-@njit(cache=True)
-def _pairs_within_cutoff_numba(coords, cutoff):  # pragma: no cover - jit body
-    n = coords.shape[0]
-    c2 = cutoff * cutoff
-    out = np.empty((n * (n - 1) // 2, 2), dtype=np.int64)
-    m = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            d2 = 0.0
-            for k in range(3):
-                t = coords[i, k] - coords[j, k]
-                d2 += t * t
-            if d2 <= c2:
-                out[m, 0] = i
-                out[m, 1] = j
-                m += 1
-    return out[:m]
+def _rmsd_block(ac: np.ndarray, bc: np.ndarray) -> np.ndarray:
+    """Kabsch RMSD of every pair of centred stacks (k, m, 3) x (L, m, 3).
 
-
-def pairs_within_cutoff(coords: np.ndarray, cutoff: float) -> np.ndarray:
-    """All unordered index pairs (i < j) with Euclidean distance <= cutoff."""
-    coords = np.ascontiguousarray(coords, dtype=np.float64)
-    if HAVE_NUMBA and coords.shape[0] >= 2:
-        return _pairs_within_cutoff_numba(coords, float(cutoff))
-    return _pairs_within_cutoff_numpy(coords, float(cutoff))
-
-
-# -- Gaussian radial basis -------------------------------------------------------
-
-def _gaussian_basis_numpy(d, centers, width):
-    z = (d[..., None] - centers) / width
-    return np.exp(-0.5 * z * z)
-
-
-@njit(cache=True)
-def _gaussian_basis_numba(d, centers, width):  # pragma: no cover - jit body
-    out = np.empty((d.shape[0], centers.shape[0]))
-    for i in range(d.shape[0]):
-        for k in range(centers.shape[0]):
-            z = (d[i] - centers[k]) / width
-            out[i, k] = np.exp(-0.5 * z * z)
-    return out
-
-
-def gaussian_basis(d: np.ndarray, centers: np.ndarray, width: float) -> np.ndarray:
-    """Evaluate exp(-(d - c_k)^2 / (2 w^2)) for every center."""
-    d = np.ascontiguousarray(np.atleast_1d(d), dtype=np.float64)
-    centers = np.ascontiguousarray(centers, dtype=np.float64)
-    if HAVE_NUMBA and d.ndim == 1:
-        return _gaussian_basis_numba(d, centers, float(width))
-    return _gaussian_basis_numpy(d, centers, float(width))
-
-
-# -- batched Kabsch RMSD -------------------------------------------------------
-
-def _kabsch_rmsd_single(p: np.ndarray, q: np.ndarray) -> float:
-    """Kabsch-minimized RMSD of one (m, 3) pair, from the aligned residual.
-
-    The residual of the optimally rotated, centred ``p`` against the centred
-    ``q`` is summed directly, so identical or rigidly moved conformers give 0
-    up to rounding. The closed form ``|p|^2 + |q|^2 - 2 sum(sigma)`` would
-    cancel two large terms there and the square root would lift the rounding
-    residue to ~1e-6 A. Also compiled by ``njit`` for the numba path.
+    Every entry comes from its own pair alone: one 3x3 cross-covariance,
+    one SVD of the (k, L, 3, 3) stack, a sign fix where the rotation would
+    reflect, and the aligned residual ``ac @ R - bc`` summed directly. The
+    closed form ``|p|^2 + |q|^2 - 2 sum(sigma)`` would cancel two large terms
+    for identical or rigidly moved conformers and the square root would lift
+    the rounding residue to ~1e-6 A; the residual gives 0 up to rounding.
     """
-    pc = p - p.sum(axis=0) / p.shape[0]
-    qc = q - q.sum(axis=0) / q.shape[0]
-    u, s, vt = np.linalg.svd(pc.T @ qc)
-    rot = u @ vt
-    if np.linalg.det(rot) < 0.0:
-        u[:, -1] *= -1.0
-        rot = u @ vt
-    r = pc @ rot - qc
-    return np.sqrt((r * r).sum() / p.shape[0])
-
-
-_kabsch_rmsd_single_numba = njit(cache=True)(_kabsch_rmsd_single)
-
-
-@njit(cache=True)
-def _rmsd_matrix_numba(a, b):  # pragma: no cover - jit body
-    out = np.empty((a.shape[0], b.shape[0]))
-    for k in range(a.shape[0]):
-        for l in range(b.shape[0]):
-            out[k, l] = _kabsch_rmsd_single_numba(a[k], b[l])
-    return out
+    m = ac.shape[1]
+    u, _, vt = np.linalg.svd(np.matmul(np.swapaxes(ac, -1, -2)[:, None], bc[None]))
+    rot = np.matmul(u, vt)
+    flip = np.linalg.det(rot) < 0.0
+    if flip.any():
+        u[flip, :, -1] *= -1.0
+        rot[flip] = np.matmul(u[flip], vt[flip])
+    r = np.matmul(ac[:, None], rot) - bc[None]
+    return np.sqrt((r * r).reshape(r.shape[0], r.shape[1], -1).sum(axis=-1) / m)
 
 
 def rmsd_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise Kabsch-minimized RMSD between two stacks of conformers.
 
     ``a`` is (K, m, 3) and ``b`` is (L, m, 3); the result is (K, L). Each
-    entry is the RMSD of the aligned residual (see ``_kabsch_rmsd_single``),
-    so identical or rigidly moved conformers score 0 up to rounding.
+    entry is the RMSD of the aligned residual (see ``_rmsd_block``) and
+    depends on its own pair only, so ``rmsd_matrix(a[:k], b)`` equals the
+    first k rows of ``rmsd_matrix(a, b)`` bit for bit.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
-    if HAVE_NUMBA:
-        return _rmsd_matrix_numba(a, b)
-    out = np.empty((a.shape[0], b.shape[0]))
-    for k in range(a.shape[0]):
-        for l in range(b.shape[0]):
-            out[k, l] = _kabsch_rmsd_single(a[k], b[l])
+    k, m = a.shape[0], a.shape[1]
+    out = np.empty((k, b.shape[0]))
+    if out.size == 0:
+        return out
+    ac = a - a.sum(axis=1, keepdims=True) / m
+    bc = b - b.sum(axis=1, keepdims=True) / m
+    rows = max(1, _BLOCK_ELEMENTS // max(b.shape[0] * m * 3, 1))
+    for start in range(0, k, rows):
+        out[start:start + rows] = _rmsd_block(ac[start:start + rows], bc)
     return out

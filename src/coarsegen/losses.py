@@ -14,9 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
+from . import topology
 from .autodiff import Tensor, as_tensor
 from .geometry import kabsch_align
 from .molio import MolecularGraph
+from .topology import hop12_pairs  # noqa: F401  (public name of this module)
 
 _NORM_EPS = 1e-12
 
@@ -67,29 +69,14 @@ def aligned_mse(x_model, x_true) -> Tensor:
     return (diff * diff).sum(axis=1).mean()
 
 
-def hop12_pairs(graph: MolecularGraph) -> list[tuple[int, int]]:
-    """All 1-hop (bonded) and 2-hop atom pairs of the covalent graph."""
-    adj = graph.adjacency()
-    pairs = {b.pair for b in graph.bonds}
-    for mid in range(graph.n_atoms):
-        nbrs = adj[mid]
-        for a in range(len(nbrs)):
-            for b in range(a + 1, len(nbrs)):
-                i, j = sorted((nbrs[a], nbrs[b]))
-                pairs.add((i, j))
-    return sorted(pairs)
-
-
 def distance_loss(x, x_true, graph: MolecularGraph) -> Tensor:
     """Mean squared deviation of 1/2-hop distances from their true values."""
-    pairs = hop12_pairs(graph)
-    if not pairs:
+    i, j = topology.hop12_index(graph)
+    if not len(i):
         return Tensor(0.0)
     x = as_tensor(x)
     truth = np.asarray(x_true.data if isinstance(x_true, Tensor) else x_true,
                        dtype=np.float64)
-    i = np.asarray([p[0] for p in pairs], dtype=np.intp)
-    j = np.asarray([p[1] for p in pairs], dtype=np.intp)
     diff = x[i] - x[j]
     dist = ((diff * diff).sum(axis=1) + _NORM_EPS).sqrt()
     true_dist = np.sqrt(((truth[i] - truth[j]) ** 2).sum(axis=1))

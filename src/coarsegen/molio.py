@@ -1,13 +1,15 @@
 """Molecular structure I/O and graph construction.
 
 Supports a V2000 molfile subset (counts line, atom block, bond block,
-``M  END``, records separated by ``$$$$``) and plain XYZ. Parsed records
-are immutable; graph expansion adds non-bonded auxiliary edges within a
+``M  CHG``, ``M  END``, records separated by ``$$$$``) and plain XYZ.
+Malformed input raises a located :class:`ParseError`. Parsed graphs are
+immutable; graph expansion adds non-bonded auxiliary edges within a
 distance cutoff to strengthen long-range message passing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,11 +76,22 @@ class Bond:
         return (self.i, self.j) if self.i < self.j else (self.j, self.i)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MolecularGraph:
-    atoms: list[Atom]
-    bonds: list[Bond]
-    aux_edges: list[tuple[int, int]] = field(default_factory=list)
+    """Atoms, covalent bonds and auxiliary edges; immutable once built.
+
+    The containers are stored as tuples. Index structure derived from the
+    graph is cached in ``_topology`` by :mod:`coarsegen.topology`.
+    """
+    atoms: tuple[Atom, ...]
+    bonds: tuple[Bond, ...]
+    aux_edges: tuple[tuple[int, int], ...] = ()
+    _topology: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "atoms", tuple(self.atoms))
+        object.__setattr__(self, "bonds", tuple(self.bonds))
+        object.__setattr__(self, "aux_edges", tuple(map(tuple, self.aux_edges)))
 
     @property
     def n_atoms(self) -> int:
@@ -116,6 +129,15 @@ class Conformer:
         return self.coords.shape[0]
 
 
+def _as_text(text: str | bytes) -> str:
+    if isinstance(text, bytes):
+        try:
+            return text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not UTF-8 (byte {exc.start})")
+    return text
+
+
 def _finish_atoms(elements, charges, bonds, aromatic_atoms):
     heavy_deg = [0] * len(elements)
     for b in bonds:
@@ -133,8 +155,7 @@ def parse_sdf(text: str | bytes) -> list[tuple[MolecularGraph, Conformer]]:
     Returns one ``(graph, conformer)`` pair per record; graphs carry no
     auxiliary edges (see :func:`build_graph`).
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    text = _as_text(text)
     records = []
     blocks = text.split("$$$$")
     rec_index = 0
@@ -172,9 +193,12 @@ def _parse_mol_block(block: str, rec: int):
             raise ParseError("atom block truncated", record=rec, line=ln + 1)
         row = lines[ln]
         try:
-            coords[k] = [float(row[0:10]), float(row[10:20]), float(row[20:30])]
+            xyz = (float(row[0:10]), float(row[10:20]), float(row[20:30]))
         except (ValueError, IndexError):
             raise ParseError(f"bad atom coordinates: {row!r}", record=rec, line=ln + 1)
+        if not all(map(math.isfinite, xyz)):
+            raise ParseError(f"non-finite atom coordinates: {row!r}", record=rec, line=ln + 1)
+        coords[k] = xyz
         symbol = row[31:34].strip()
         if symbol not in _ELEMENT_INDEX:
             raise ParseError(f"unsupported element {symbol!r}", record=rec, line=ln + 1)
@@ -196,6 +220,8 @@ def _parse_mol_block(block: str, rec: int):
             raise ParseError(f"bad bond line: {row!r}", record=rec, line=ln + 1)
         if a < 1 or b < 1 or a > n_atoms or b > n_atoms:
             raise ParseError(f"dangling bond index {a}-{b}", record=rec, line=ln + 1)
+        if a == b:
+            raise ParseError(f"bond from atom {a} to itself", record=rec, line=ln + 1)
         if code not in _BOND_ORDER_FROM_CODE:
             raise ParseError(f"unsupported bond type {code}", record=rec, line=ln + 1)
         order = _BOND_ORDER_FROM_CODE[code]
@@ -211,10 +237,15 @@ def _parse_mol_block(block: str, rec: int):
     for ln, row in enumerate(lines[4 + n_atoms + n_bonds:], start=5 + n_atoms + n_bonds):
         if row.startswith("M  CHG"):
             fields = row.split()
-            cnt = int(fields[2])
-            for c in range(cnt):
-                idx = int(fields[3 + 2 * c]) - 1
-                charges[idx] = int(fields[4 + 2 * c])
+            try:
+                entries = [(int(fields[3 + 2 * c]), int(fields[4 + 2 * c]))
+                           for c in range(int(fields[2]))]
+            except (ValueError, IndexError):
+                raise ParseError(f"malformed charge line: {row!r}", record=rec, line=ln)
+            for atom, charge in entries:
+                if atom < 1 or atom > n_atoms:
+                    raise ParseError(f"charge on atom {atom} of {n_atoms}", record=rec, line=ln)
+                charges[atom - 1] = charge
         if row.startswith("M  END"):
             break
     else:
@@ -226,8 +257,7 @@ def _parse_mol_block(block: str, rec: int):
 
 def parse_xyz(text: str | bytes) -> tuple[Conformer, list[str]]:
     """Parse a single-frame XYZ file into a conformer and element list."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    text = _as_text(text)
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty xyz input")
@@ -235,23 +265,27 @@ def parse_xyz(text: str | bytes) -> tuple[Conformer, list[str]]:
         count = int(lines[0].strip())
     except ValueError:
         raise ParseError(f"bad atom count line: {lines[0]!r}", line=1)
-    atom_lines = [ln for ln in lines[2:] if ln.strip()]
+    # (1-based line number, text) of every non-blank line after the comment
+    atom_lines = [(n, ln) for n, ln in enumerate(lines[2:], start=3) if ln.strip()]
     if len(atom_lines) != count:
         raise ParseError(
             f"atom count mismatch: declared {count}, found {len(atom_lines)}")
     coords = np.zeros((count, 3))
     elements = []
-    for k, row in enumerate(atom_lines):
+    for k, (line_no, row) in enumerate(atom_lines):
         fields = row.split()
         if len(fields) < 4:
-            raise ParseError(f"bad xyz line: {row!r}", line=k + 3)
+            raise ParseError(f"bad xyz line: {row!r}", line=line_no)
         el = fields[0]
         if el not in _ELEMENT_INDEX:
-            raise ParseError(f"unsupported element {el!r}", line=k + 3)
+            raise ParseError(f"unsupported element {el!r}", line=line_no)
         try:
-            coords[k] = [float(fields[1]), float(fields[2]), float(fields[3])]
+            xyz = (float(fields[1]), float(fields[2]), float(fields[3]))
         except ValueError:
-            raise ParseError(f"non-numeric coordinate: {row!r}", line=k + 3)
+            raise ParseError(f"non-numeric coordinate: {row!r}", line=line_no)
+        if not all(map(math.isfinite, xyz)):
+            raise ParseError(f"non-finite coordinate: {row!r}", line=line_no)
+        coords[k] = xyz
         elements.append(el)
     return Conformer(coords), elements
 
@@ -268,7 +302,7 @@ def build_graph(atoms: list[Atom], bonds: list[Bond], ref_conformer: Conformer,
     bonded = {Bond(b.i, b.j, b.order).pair for b in bonds}
     pairs = pairs_within_cutoff(ref_conformer.coords, cutoff_angstrom)
     aux = [(int(i), int(j)) for i, j in pairs if (int(i), int(j)) not in bonded]
-    return MolecularGraph(list(atoms), list(bonds), aux)
+    return MolecularGraph(atoms, bonds, aux)
 
 
 def write_conformer(graph: MolecularGraph, conformer: Conformer,

@@ -1,0 +1,186 @@
+"""Static per-molecule index structure, built once and kept on the molecule.
+
+A :class:`~coarsegen.molio.MolecularGraph` and a
+:class:`~coarsegen.coarsen.CGMapping` never change after construction, so
+the index arrays the model reads on every pass are computed on first use
+and stored in the object's private ``_topology`` cache:
+
+- per graph: the atom feature matrix, the directed edge set, the 1/2-hop
+  pairs and the edge set of every atom subset the decoder refines;
+- per mapping: the atom-to-bead index and inverse bead sizes, and the bead
+  edge set of each cutoff.
+
+Only this module reads or writes those caches. Every cached array is
+read-only, so an in-place write raises instead of corrupting later passes.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .coarsen import CGMapping, build_bead_graph
+from .molio import MolecularGraph
+
+_BOND_ORDER_INDEX = {"single": 0, "double": 1, "triple": 2, "aromatic": 3}
+
+
+@dataclass(frozen=True)
+class EdgeSet:
+    src: np.ndarray
+    dst: np.ndarray
+    feats: np.ndarray    # per directed edge
+    inv_degree: np.ndarray  # 1/deg per receiver (0 for isolated nodes)
+
+
+def _readonly(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def _inv_degree(dst: np.ndarray, n: int) -> np.ndarray:
+    deg = np.bincount(dst, minlength=n).astype(np.float64)
+    return np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
+
+
+def _cached(owner, key, build, *args):
+    try:
+        return owner._topology[key]
+    except KeyError:
+        value = owner._topology[key] = build(*args)
+        return value
+
+
+# -- per graph -------------------------------------------------------------------
+
+def _build_atom_features(graph: MolecularGraph) -> np.ndarray:
+    feats = graph.feature_matrix()
+    _readonly(feats)
+    return feats
+
+
+def atom_features(graph: MolecularGraph) -> np.ndarray:
+    """The (atoms, FEATURE_DIM) feature matrix of ``graph``."""
+    return _cached(graph, "atom_features", _build_atom_features, graph)
+
+
+def _build_directed_edges(graph: MolecularGraph) -> EdgeSet:
+    src, dst, feats = [], [], []
+    for b in graph.bonds:
+        f = np.zeros(4)
+        f[_BOND_ORDER_INDEX[b.order]] = 1.0
+        for s, d in ((b.i, b.j), (b.j, b.i)):
+            src.append(s)
+            dst.append(d)
+            feats.append(f)
+    for i, j in graph.aux_edges:
+        for s, d in ((i, j), (j, i)):
+            src.append(s)
+            dst.append(d)
+            feats.append(np.zeros(4))
+    src_a = np.asarray(src, dtype=np.intp)
+    dst_a = np.asarray(dst, dtype=np.intp)
+    f_a = np.stack(feats) if feats else np.zeros((0, 4))
+    edges = EdgeSet(src_a, dst_a, f_a, _inv_degree(dst_a, graph.n_atoms))
+    _readonly(edges.src, edges.dst, edges.feats, edges.inv_degree)
+    return edges
+
+
+def directed_edges(graph: MolecularGraph) -> EdgeSet:
+    """Covalent + auxiliary edges, both directions, with bond-type one-hots."""
+    return _cached(graph, "directed_edges", _build_directed_edges, graph)
+
+
+def hop12_pairs(graph: MolecularGraph) -> list[tuple[int, int]]:
+    """All 1-hop (bonded) and 2-hop atom pairs of the covalent graph."""
+    adj = graph.adjacency()
+    pairs = {b.pair for b in graph.bonds}
+    for mid in range(graph.n_atoms):
+        nbrs = adj[mid]
+        for a in range(len(nbrs)):
+            for b in range(a + 1, len(nbrs)):
+                i, j = sorted((nbrs[a], nbrs[b]))
+                pairs.add((i, j))
+    return sorted(pairs)
+
+
+def _build_hop12_index(graph: MolecularGraph) -> tuple[np.ndarray, np.ndarray]:
+    pairs = hop12_pairs(graph)
+    i = np.asarray([p[0] for p in pairs], dtype=np.intp)
+    j = np.asarray([p[1] for p in pairs], dtype=np.intp)
+    _readonly(i, j)
+    return i, j
+
+
+def hop12_index(graph: MolecularGraph) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`hop12_pairs` as two index arrays (first atoms, second atoms)."""
+    return _cached(graph, "hop12", _build_hop12_index, graph)
+
+
+def _build_local_edges(graph: MolecularGraph, atoms: tuple[int, ...]):
+    pos = {a: k for k, a in enumerate(atoms)}
+    src, dst = [], []
+    pairs = [(b.i, b.j) for b in graph.bonds] + list(graph.aux_edges)
+    for i, j in pairs:
+        if i in pos and j in pos:
+            src += [pos[i], pos[j]]
+            dst += [pos[j], pos[i]]
+    s = np.asarray(src, dtype=np.intp)
+    d = np.asarray(dst, dtype=np.intp)
+    inv = _inv_degree(d, len(atoms))
+    _readonly(s, d, inv)
+    return s, d, inv
+
+
+def local_edges(graph: MolecularGraph, atoms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Covalent + auxiliary directed edges restricted to an atom subset.
+
+    Returns (src, dst, inverse receiver degree), indexed by position in
+    ``atoms``.
+    """
+    atoms = tuple(atoms)
+    return _cached(graph, ("local_edges", atoms), _build_local_edges, graph, atoms)
+
+
+# -- per mapping -----------------------------------------------------------------
+
+def _build_pooling_index(mapping: CGMapping) -> tuple[np.ndarray, np.ndarray]:
+    bead_idx = np.asarray(mapping.assignment, dtype=np.intp)
+    sizes = np.bincount(bead_idx, minlength=mapping.n_beads).astype(np.float64)
+    inv_sizes = (1.0 / sizes)[:, None]
+    _readonly(bead_idx, inv_sizes)
+    return bead_idx, inv_sizes
+
+
+def pooling_index(mapping: CGMapping) -> tuple[np.ndarray, np.ndarray]:
+    """Bead index of every atom, and 1/size of every bead as a column."""
+    return _cached(mapping, "pooling_index", _build_pooling_index, mapping)
+
+
+def _build_bead_edges(graph: MolecularGraph, mapping: CGMapping,
+                      cutoff: float) -> EdgeSet:
+    bead_graph = build_bead_graph(graph, mapping, cutoff)
+    src, dst = [], []
+    for i, j in bead_graph.edges:
+        src += [i, j]
+        dst += [j, i]
+    src_a = np.asarray(src, dtype=np.intp)
+    dst_a = np.asarray(dst, dtype=np.intp)
+    edges = EdgeSet(src_a, dst_a, np.zeros((len(src), 0)),
+                    _inv_degree(dst_a, bead_graph.n_beads))
+    _readonly(edges.src, edges.dst, edges.feats, edges.inv_degree)
+    return edges
+
+
+def bead_edges(graph: MolecularGraph, mapping: CGMapping, cutoff: float) -> EdgeSet:
+    """Directed edges of the bead graph (:func:`~coarsegen.coarsen.build_bead_graph`).
+
+    Cached on the mapping per cutoff, together with the graph it was built
+    from; another graph rebuilds it.
+    """
+    key = ("bead_edges", cutoff)
+    entry = mapping._topology.get(key)
+    if entry is None or entry[0] is not graph:
+        entry = mapping._topology[key] = (graph, _build_bead_edges(graph, mapping, cutoff))
+    return entry[1]

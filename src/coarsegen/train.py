@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, backward
+from .autodiff import Tensor, backward, gc_paused
 from .coarsen import build_bead_graph, order_beads
 from .corpus import ToyMolecule, make_corpus
 from .decoder import decode_ar, decode_ot
@@ -140,6 +140,28 @@ def _check_finite(breakdown: dict[str, float], step: int) -> None:
             + " ".join(f"{k}={v:g}" for k, v in breakdown.items()))
 
 
+def _train_step(store: ParameterStore, cfg: ModelConfig, batch: list[ToyMolecule],
+                run: RunConfig, epoch: int, rng: np.random.Generator,
+                lr: float) -> dict[str, float]:
+    """Forward, backward and optimizer update on one batch; returns the
+    batch mean of each loss term."""
+    store.zero_grad()
+    total = Tensor(0.0)
+    agg: dict[str, float] = {}
+    for mol in batch:
+        loss, breakdown = molecule_loss(store, cfg, mol, run, epoch, rng)
+        total = total + loss
+        for k, v in breakdown.items():
+            agg[k] = agg.get(k, 0.0) + v / len(batch)
+    backward(total * (1.0 / len(batch)))
+    _check_finite(agg, store.step)
+    if run.optimizer == "adam":
+        store.adam_step(lr)
+    else:
+        store.sgd_step(lr)
+    return agg
+
+
 def checkpoint_path(run: RunConfig, epoch: int) -> str:
     assert run.checkpoint_dir is not None
     return os.path.join(run.checkpoint_dir, f"ckpt_epoch{epoch}.bin")
@@ -151,6 +173,8 @@ def train(run: RunConfig, store: ParameterStore | None = None,
 
     Per-epoch RNG streams are derived from the seed and epoch index, so a
     resume from an epoch-boundary checkpoint replays the run bit-exactly.
+    Each optimizer step (forward, backward and update) runs with the cyclic
+    garbage collector paused (see :func:`~coarsegen.autodiff.gc_paused`).
     """
     if store is None:
         store = ParameterStore(seed=run.seed)
@@ -167,20 +191,10 @@ def train(run: RunConfig, store: ParameterStore | None = None,
         lr = run.lr_at(epoch)
         for batch_start in range(0, len(corpus), run.batch_size):
             batch = corpus[batch_start:batch_start + run.batch_size]
-            store.zero_grad()
-            total = Tensor(0.0)
-            agg: dict[str, float] = {}
-            for mol in batch:
-                loss, breakdown = molecule_loss(store, cfg, mol, run, epoch, rng)
-                total = total + loss
-                for k, v in breakdown.items():
-                    agg[k] = agg.get(k, 0.0) + v / len(batch)
-            backward(total * (1.0 / len(batch)))
-            _check_finite(agg, store.step)
-            if run.optimizer == "adam":
-                store.adam_step(lr)
-            else:
-                store.sgd_step(lr)
+            # the step's tape is freed when _train_step returns, so the
+            # collector resumes with nothing new to scan
+            with gc_paused():
+                agg = _train_step(store, cfg, batch, run, epoch, rng, lr)
             agg.update(epoch=epoch, step=store.step, lr=lr)
             history.append(agg)
             log.info("step=%d epoch=%d lr=%g recon=%.6f kl=%.6f dist=%.6f "

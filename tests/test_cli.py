@@ -72,6 +72,25 @@ class TestEval:
         out = capsys.readouterr().out
         assert "budget 1:" in out and "budget 5:" in out
 
+    def test_budgets_leave_report_and_histogram_unchanged(self, tmp_path, capsys):
+        """With --budgets the full report is read from the sweep's matrix; it
+        prints the same report and histogram as a run without budgets."""
+        mol = make_corpus(1, 0)[0]
+        gen, truth = tmp_path / "gen.sdf", tmp_path / "truth.sdf"
+        gen.write_bytes(write_sdf_records([(mol.graph, t) for t in mol.truth_ensemble]))
+        truth.write_bytes(write_sdf_records([(mol.graph, c) for c in (mol.gt, mol.ref)]))
+        plain_hist, swept_hist = tmp_path / "plain.txt", tmp_path / "swept.txt"
+        assert main(["eval", str(gen), str(truth), "--delta", "0.3",
+                     "--histogram", str(plain_hist)]) == 0
+        plain = capsys.readouterr().out.splitlines()
+        assert main(["eval", str(gen), str(truth), "--delta", "0.3",
+                     "--budgets", "1,2,5", "--histogram", str(swept_hist)]) == 0
+        swept = capsys.readouterr().out.splitlines()
+        assert swept[:len(plain)] == plain
+        assert [line.split(":")[0] for line in swept[len(plain):]] == [
+            "budget 1", "budget 2", "budget 5"]
+        assert swept_hist.read_text() == plain_hist.read_text()
+
     def test_histogram_file(self, two_ensembles, tmp_path, capsys):
         gen, truth = two_ensembles
         hist = tmp_path / "hist.txt"

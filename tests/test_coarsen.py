@@ -4,8 +4,8 @@ molecules, partition invariants, bead graph and generation order."""
 import numpy as np
 import pytest
 
-from coarsegen.coarsen import (build_bead_graph, build_pooling_graph,
-                               coarse_grain, find_rotatable_bonds, order_beads)
+from coarsegen.coarsen import (build_bead_graph, coarse_grain,
+                               find_rotatable_bonds, order_beads)
 from coarsegen.corpus import make_corpus
 from coarsegen.molio import Atom, Bond, Conformer, MolecularGraph
 
@@ -117,15 +117,6 @@ class TestCoarseGrain:
         graph = heavy_chain(["C", "C"])
         with pytest.raises(ValueError):
             coarse_grain(graph, Conformer(chain_coords(3)))
-
-
-class TestPoolingGraph:
-    def test_one_edge_per_atom(self):
-        graph = heavy_chain(["C", "C", "C", "C"])
-        mapping = coarse_grain(graph, Conformer(chain_coords(4)))
-        pool = build_pooling_graph(mapping)
-        assert pool.n_fine == 4 and pool.n_coarse == 2
-        assert pool.edges == [(a, mapping.assignment[a]) for a in range(4)]
 
 
 class TestBeadGraph:

@@ -1,4 +1,4 @@
-"""Geometric kernels: brute-force oracles and fast-path/fallback agreement."""
+"""Geometric kernels against brute-force and per-pair reference versions."""
 
 import numpy as np
 
@@ -21,39 +21,23 @@ class TestPairsWithinCutoff:
         assert kernels.pairs_within_cutoff(np.zeros((0, 3)), 4.0).shape == (0, 2)
         assert kernels.pairs_within_cutoff(np.zeros((1, 3)), 4.0).shape == (0, 2)
 
-    def test_paths_agree(self):
-        coords = RNG.uniform(0, 8, size=(30, 3))
-        fast = kernels.pairs_within_cutoff(coords, 3.0)
-        slow = kernels._pairs_within_cutoff_numpy(coords, 3.0)
-        np.testing.assert_array_equal(np.sort(fast, axis=0), np.sort(slow, axis=0))
 
-
-class TestGaussianBasis:
-    def test_closed_form(self):
-        d = RNG.uniform(0, 10, size=20)
-        centers = np.linspace(0, 10, 16)
-        width = 10.0 / 15
-        got = kernels.gaussian_basis(d, centers, width)
-        want = np.exp(-0.5 * ((d[:, None] - centers) / width) ** 2)
-        np.testing.assert_allclose(got, want, atol=1e-14)
-
-    def test_at_center_equals_one(self):
-        centers = np.array([1.0, 2.0, 3.0])
-        out = kernels.gaussian_basis(np.array([2.0]), centers, 0.5)
-        assert out[0, 1] == 1.0
-
-    def test_far_beyond_centers_vanishes(self):
-        centers = np.linspace(0, 10, 16)
-        width = 10.0 / 15
-        out = kernels.gaussian_basis(np.array([10.0 + 10 * width]), centers, width)
-        assert np.abs(out).max() < 1e-10
-
-    def test_paths_agree(self):
-        d = RNG.uniform(0, 10, size=50)
-        centers = np.linspace(0, 10, 8)
-        fast = kernels.gaussian_basis(d, centers, 0.7)
-        slow = kernels._gaussian_basis_numpy(d, centers, 0.7)
-        np.testing.assert_allclose(fast, slow, atol=1e-14)
+def kabsch_rmsd_loop(a, b):
+    """Per-pair reference: one SVD per pair, the arithmetic of the batched
+    kernel applied to one (m, 3) pair at a time."""
+    out = np.empty((len(a), len(b)))
+    for k, p in enumerate(a):
+        for l, q in enumerate(b):
+            pc = p - p.sum(axis=0) / p.shape[0]
+            qc = q - q.sum(axis=0) / q.shape[0]
+            u, _, vt = np.linalg.svd(pc.T @ qc)
+            rot = u @ vt
+            if np.linalg.det(rot) < 0.0:
+                u[:, -1] *= -1.0
+                rot = u @ vt
+            r = pc @ rot - qc
+            out[k, l] = np.sqrt((r * r).sum() / p.shape[0])
+    return out
 
 
 class TestRmsdMatrix:
@@ -61,6 +45,34 @@ class TestRmsdMatrix:
     not depend on which other tests ran first."""
 
     SEED = 59
+
+    def test_equals_per_pair_loop(self):
+        """The batched kernel does the per-pair arithmetic, so it agrees bit
+        for bit; mirror images exercise the reflection fix."""
+        rng = np.random.default_rng(self.SEED)
+        for m in (3, 9, 33):
+            a = 10.0 * rng.standard_normal((7, m, 3))
+            b = np.concatenate([10.0 * rng.standard_normal((4, m, 3)),
+                                a[:3] * np.array([1.0, 1.0, -1.0])])
+            np.testing.assert_array_equal(kernels.rmsd_matrix(a, b),
+                                          kabsch_rmsd_loop(a, b))
+
+    def test_prefix_rows_bit_identical_across_blocks(self, monkeypatch):
+        """Rows of ``a`` are scored in blocks; a prefix of ``a`` gives the same
+        rows bit for bit, whichever block boundary it cuts through."""
+        rng = np.random.default_rng(self.SEED)
+        a = rng.standard_normal((11, 8, 3))
+        b = rng.standard_normal((5, 8, 3))
+        full = kernels.rmsd_matrix(a, b)
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 4 * 5 * 8 * 3)  # 4 rows
+        blocked = kernels.rmsd_matrix(a, b)
+        np.testing.assert_array_equal(blocked, full)
+        for k in (1, 3, 4, 5, 8, 11):
+            np.testing.assert_array_equal(kernels.rmsd_matrix(a[:k], b), full[:k])
+
+    def test_empty_stacks(self):
+        assert kernels.rmsd_matrix(np.zeros((0, 4, 3)), np.zeros((2, 4, 3))).shape == (0, 2)
+        assert kernels.rmsd_matrix(np.zeros((3, 4, 3)), np.zeros((0, 4, 3))).shape == (3, 0)
 
     def test_matches_alignment_oracle(self):
         rng = np.random.default_rng(self.SEED)

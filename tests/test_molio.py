@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsegen.molio import (FEATURE_DIM, Atom, Bond, Conformer, ParseError,
                              build_graph, parse_sdf, parse_xyz, write_conformer,
@@ -65,6 +67,35 @@ class TestParseSdf:
         assert graph.atoms[0].formal_charge == 1
         assert graph.atoms[1].formal_charge == -1
 
+    @pytest.mark.parametrize("row", [
+        "M  CHG  1   3   1",     # atom 3 of a 2-atom record
+        "M  CHG  1   0  -1",     # atom 0 (would index the last atom)
+        "M  CHG  x",             # non-numeric count
+        "M  CHG  2   1   1",     # fewer entries than the count
+        "M  CHG  1   1   +x",    # non-numeric charge
+    ])
+    def test_malformed_charge_line_is_located(self, row):
+        text = make_sdf([(0, 0, 0, "N"), (1.4, 0, 0, "O")], [(1, 2, 1)],
+                        props=(row, "M  END"))
+        with pytest.raises(ParseError) as exc:
+            parse_sdf(text)
+        assert exc.value.record == 0 and exc.value.line == 8
+
+    def test_self_bond_and_non_finite_coordinates(self):
+        with pytest.raises(ParseError, match="itself"):
+            parse_sdf(make_sdf([(0, 0, 0, "C"), (1.5, 0, 0, "C")], [(1, 1, 1)]))
+        text = make_sdf([(0, 0, 0, "C")], []).replace("    0.0000", "       nan", 1)
+        with pytest.raises(ParseError, match="non-finite"):
+            parse_sdf(text)
+        with pytest.raises(ParseError, match="non-finite"):
+            parse_xyz("1\n\nC inf 0 0\n")
+
+    def test_non_utf8_bytes(self):
+        with pytest.raises(ParseError, match="UTF-8"):
+            parse_sdf(ETHANOL.encode() + b"\xff")
+        with pytest.raises(ParseError, match="UTF-8"):
+            parse_xyz(b"1\n\nC 0 0 \xff0\n")
+
     def test_unsupported_element(self):
         text = make_sdf([(0, 0, 0, "Xx")], [])
         with pytest.raises(ParseError, match="Xx"):
@@ -101,6 +132,51 @@ class TestParseSdf:
             raise AssertionError("expected ParseError")
 
 
+CHARGED = make_sdf([(0, 0, 0, "N"), (1.4, 0, 0, "O"), (2.0, 1.0, 0, "C")],
+                   [(1, 2, 1), (2, 3, 2)], props=("M  CHG  2   1   1   2  -1", "M  END"))
+XYZ = "2\ncomment\nC 0.0 0.0 0.0\nO 1.2 0.0 0.0\n"
+# pieces that reach every field parser: digits, signs, separators, keywords
+_PIECES = st.text(alphabet="0123456789 -+.eE$\nMCHGENDOx", max_size=40)
+FRAGMENTS = st.one_of(_PIECES, _PIECES.map(lambda t: "M  CHG" + t))
+
+
+def mutate(text: str, edits) -> str:
+    lines = text.split("\n")
+    for pos, piece in edits:
+        k = pos % len(lines)
+        lines[k] = piece if pos % 3 else lines[k][:pos % 7] + piece
+    return "\n".join(lines)
+
+
+class TestParseFuzz:
+    """Whatever the input, only ParseError escapes the parsers."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 1000), FRAGMENTS), min_size=1, max_size=4))
+    def test_sdf_edits(self, edits):
+        try:
+            parse_sdf(mutate(CHARGED, edits))
+        except ParseError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 1000), FRAGMENTS), min_size=1, max_size=3))
+    def test_xyz_edits(self, edits):
+        try:
+            parse_xyz(mutate(XYZ, edits))
+        except ParseError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=200))
+    def test_arbitrary_bytes(self, data):
+        for parse in (parse_sdf, parse_xyz):
+            try:
+                parse(data)
+            except ParseError:
+                pass
+
+
 class TestParseXyz:
     def test_roundtrip_values(self):
         conf, elements = parse_xyz("2\ncomment\nC 0.0 0.0 0.0\nO 1.2 0.0 0.0\n")
@@ -110,6 +186,11 @@ class TestParseXyz:
     def test_count_mismatch(self):
         with pytest.raises(ParseError, match="mismatch"):
             parse_xyz("3\nc\nC 0 0 0\n")
+
+    def test_error_line_counts_blank_lines(self):
+        with pytest.raises(ParseError) as exc:
+            parse_xyz("2\ncomment\nC 0 0 0\n\nXx 0 0 0\n")
+        assert exc.value.line == 5
 
     def test_bad_count_line(self):
         with pytest.raises(ParseError):
