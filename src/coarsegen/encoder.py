@@ -22,7 +22,7 @@ from .coarsen import CGMapping
 from .molio import MolecularGraph
 from .nn import ModelConfig, affine, attention, mlp, rbf_expand, vn_mlp, vn_norms
 from .params import ParameterStore
-from .topology import EdgeSet, directed_edges  # directed_edges: public name here too
+from .topology import EdgeSet, directed_edges
 
 _DIST_EPS = 1e-12
 

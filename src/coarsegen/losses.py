@@ -18,7 +18,6 @@ from . import topology
 from .autodiff import Tensor, as_tensor
 from .geometry import kabsch_align
 from .molio import MolecularGraph
-from .topology import hop12_pairs  # noqa: F401  (public name of this module)
 
 _NORM_EPS = 1e-12
 

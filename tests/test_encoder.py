@@ -4,10 +4,11 @@ one-way information flow between the paths."""
 import numpy as np
 import pytest
 
-from coarsegen.encoder import center, directed_edges, encode, encode_reference
+from coarsegen.encoder import center, encode, encode_reference
 from coarsegen.geometry import random_rotation
 from coarsegen.nn import ModelConfig
 from coarsegen.params import ParameterStore
+from coarsegen.topology import directed_edges
 from tests.conftest import butane_like
 
 RNG = np.random.default_rng(19)

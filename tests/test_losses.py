@@ -9,9 +9,9 @@ import pytest
 from coarsegen.autodiff import Tensor
 from coarsegen.geometry import aligned_rmsd, random_rotation
 from coarsegen.losses import (LossWeights, aligned_mse, distance_loss,
-                              elbo_loss, emd_solve, hop12_pairs, ot_loss,
-                              pairwise_cost)
+                              elbo_loss, emd_solve, ot_loss, pairwise_cost)
 from coarsegen.molio import Atom, Bond, MolecularGraph
+from coarsegen.topology import hop12_pairs
 
 RNG = np.random.default_rng(23)
 
