@@ -10,7 +10,10 @@ the lines. Each line digests the raw float64 bytes of:
   parameter store, and every parameter gradient after its backward;
 - ``generate``: 40 conformers drawn with ``decoder.generate``;
 - ``rmsd_matrix``: the RMSD matrices of 30 random stack pairs;
-- ``train``: the checkpoint bytes after 2 epochs of ``ot`` training with Adam.
+- ``train``: the checkpoint bytes after 2 epochs of ``ot`` training with Adam;
+- ``gradcheck``: ``max_rel`` of ``checks.gradient_check`` at seeds 0, 1 and 2;
+- ``equivcheck``: both ``max_rel`` values of ``checks.equivariance_check``
+  (seed 0, 2 molecules, 2 motions each).
 
 Only public names that older versions also have are used.
 """
@@ -24,7 +27,7 @@ import tempfile
 
 import numpy as np
 
-from coarsegen import autodiff, coarsen, corpus, decoder, kernels
+from coarsegen import autodiff, checks, coarsen, corpus, decoder, kernels
 from coarsegen.params import ParameterStore
 
 train = importlib.import_module("coarsegen.train")   # the package exports a function of that name
@@ -91,6 +94,15 @@ def checkpoint() -> str:
             return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
+def gradcheck() -> str:
+    return digest([checks.gradient_check(seed=s).max_rel for s in (0, 1, 2)])
+
+
+def equivcheck() -> str:
+    report = checks.equivariance_check(seed=0, n_molecules=2, n_motions=2)
+    return digest([report.latent_max_rel, report.generate_max_rel])
+
+
 def main() -> None:
     mols = corpus.make_corpus(N_MOLECULES, 11, n_truth=5)
     print(f"ot           {loss_and_grads('ot', mols)}")
@@ -98,6 +110,8 @@ def main() -> None:
     print(f"generate     {draws(mols)}")
     print(f"rmsd_matrix  {rmsd_matrices()}")
     print(f"train        {checkpoint()}")
+    print(f"gradcheck    {gradcheck()}")
+    print(f"equivcheck   {equivcheck()}")
 
 
 if __name__ == "__main__":

@@ -51,9 +51,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def detach(self):
-        return Tensor(self.data.copy())
-
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other):
         other = as_tensor(other)
@@ -238,16 +235,6 @@ def concat(tensors, axis=0) -> Tensor:
     def bw(g):
         splits = list(accumulate(t.data.shape[axis] for t in tensors[:-1]))
         return tuple(np.split(g, splits, axis=axis))
-
-    return Tensor(out_data, _parents=tuple(tensors), _backward_fn=bw)
-
-
-def stack(tensors, axis=0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def bw(g):
-        return tuple(np.moveaxis(g, axis, 0)[i] for i in range(len(tensors)))
 
     return Tensor(out_data, _parents=tuple(tensors), _backward_fn=bw)
 

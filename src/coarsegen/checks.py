@@ -8,17 +8,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import topology
 from .autodiff import backward
-from .coarsen import build_bead_graph, order_beads
-from .corpus import make_corpus
-from .decoder import decode_ar, generate
-from .encoder import center, encode, encode_reference
+from .coarsen import coarse_grain
+from .corpus import ToyMolecule, make_corpus
+from .decoder import generate
+from .encoder import encode_reference
 from .geometry import random_rotation
-from .latent import kl_divergence, posterior_params, prior_params, sample
-from .losses import aligned_mse, distance_loss
+from .losses import LossWeights
 from .molio import Atom, Bond, Conformer, build_graph
 from .nn import ModelConfig
 from .params import ParameterStore
+from .train import RunConfig, molecule_loss
 
 
 def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
@@ -66,7 +67,7 @@ def equivariance_check(seed: int = 0, n_molecules: int = 20,
     for mol in corpus:
         graph, mapping = mol.graph, mol.mapping
         ref = mol.ref.coords
-        order = order_beads(mapping, build_bead_graph(graph, mapping, cfg.aux_cutoff))
+        order = topology.bead_order(graph, mapping, cfg.aux_cutoff)
         z_base = encode_reference(store, cfg, graph, mapping, ref).data
         noise = rng.standard_normal(z_base.shape)
         base = generate(store, cfg, graph, mapping, ref, order, rng,
@@ -104,7 +105,7 @@ class GradientReport:
         return "\n".join([head] + [f"  FAIL {f}" for f in self.failures[:20]])
 
 
-def _micro_instance(seed: int):
+def _micro_instance(seed: int) -> ToyMolecule:
     """A 4-atom heavy-atom chain (2 beads) with random finite coordinates."""
     rng = np.random.default_rng(seed)
     atoms = [Atom("C", 0, 1), Atom("C", 0, 2), Atom("O", 0, 2), Atom("C", 0, 1)]
@@ -113,9 +114,8 @@ def _micro_instance(seed: int):
     gt = base + 0.1 * rng.standard_normal(base.shape)
     ref = base + 0.1 * rng.standard_normal(base.shape)
     graph = build_graph(atoms, bonds, Conformer(ref), 4.0)
-    from .coarsen import coarse_grain
     mapping = coarse_grain(graph, Conformer(ref))
-    return graph, mapping, gt, ref
+    return ToyMolecule(graph, Conformer(gt), Conformer(ref), [], mapping)
 
 
 def gradient_check(seed: int = 0, h: float = 1e-5, tol: float = 1e-4,
@@ -123,29 +123,18 @@ def gradient_check(seed: int = 0, h: float = 1e-5, tol: float = 1e-4,
     """Central finite differences against backpropagated gradients.
 
     Every named parameter array is probed at ``entries_per_param`` random
-    entries of a randomized micro-instance loss (encode, variational layer,
-    autoregressive decode, reconstruction + distance + KL terms).
+    entries of the ``elbo-ar`` training loss
+    (:func:`~coarsegen.train.molecule_loss`) on a randomized micro-instance.
     """
     cfg = ModelConfig(hidden_dim=8, latent_channels=4, layers=2, tie_layers=True)
+    run = RunConfig(preset="elbo-ar", weights=LossWeights(beta1=1e-2, beta2=0.5))
     store = ParameterStore(seed=seed)
-    graph, mapping, gt, ref = _micro_instance(seed + 7)
-    gt_c, _ = center(gt)
-    ref_c, _ = center(ref)
-    order = order_beads(mapping, build_bead_graph(graph, mapping, cfg.aux_cutoff))
-    noise = np.random.default_rng(seed + 11).standard_normal(
-        (mapping.n_beads, cfg.latent_channels, 3))
-    dummy_rng = np.random.default_rng(0)
+    mol = _micro_instance(seed + 7)
 
     def loss_value(grad: bool = False) -> float:
-        z_gt, z_ref = encode(store, cfg, graph, mapping, gt_c, ref_c)
-        post = posterior_params(store, cfg, z_gt, z_ref)
-        prior = prior_params(store, cfg, z_ref)
-        z = sample(post, dummy_rng, noise=noise)
-        coords = decode_ar(store, cfg, z, mapping, ref_c, graph, order,
-                           teacher_coords=gt_c)
-        total = (aligned_mse(coords, gt_c)
-                 + 1e-2 * kl_divergence(post, prior)
-                 + 0.5 * distance_loss(coords, gt_c, graph))
+        # a fresh stream per evaluation draws the same latent noise each time
+        total, _ = molecule_loss(store, cfg, mol, run, 0,
+                                 np.random.default_rng(seed + 11))
         if grad:
             backward(total)
         return float(total.data)

@@ -16,12 +16,13 @@ import sys
 
 import numpy as np
 
+from . import topology
 from .checks import equivariance_check, gradient_check
-from .coarsen import build_bead_graph, coarse_grain, order_beads
+from .coarsen import coarse_grain
 from .decoder import generate_ensemble
 from .losses import LossWeights
 from .metrics import budget_sweep, error_histogram, format_report
-from .molio import ParseError, parse_sdf, write_sdf_records
+from .molio import ParseError, build_graph, parse_sdf, write_sdf_records
 from .nn import ModelConfig
 from .params import ParameterStore
 from .train import PRESETS, RunConfig, resume, train
@@ -59,7 +60,8 @@ def _model_config(args) -> ModelConfig:
                        latent_channels=args.latent_channels,
                        layers=args.layers,
                        share_paths=not args.no_share_paths,
-                       tie_layers=args.tie_layers)
+                       tie_layers=args.tie_layers,
+                       aux_cutoff=args.cutoff)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,10 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_coarsen(args) -> int:
     records = _parse_sdf_file(args.input)
     for rec, (graph, conf) in enumerate(records):
-        from .molio import build_graph
         expanded = build_graph(graph.atoms, graph.bonds, conf, args.cutoff)
         mapping = coarse_grain(expanded, conf)
-        order = order_beads(mapping, build_bead_graph(expanded, mapping, args.cutoff))
+        order = topology.bead_order(expanded, mapping, args.cutoff)
         print(f"record {rec}: atoms={graph.n_atoms} "
               f"rotatable={len(mapping.severed_bonds)} beads={mapping.n_beads} "
               f"order={','.join(map(str, order))}")
@@ -186,10 +187,11 @@ def _cmd_generate(args) -> int:
     if not records:
         raise SystemExit(f"error: {args.input}: no molecule records")
     graph, ref = records[0]
-    from .molio import build_graph
-    expanded = build_graph(graph.atoms, graph.bonds, ref, args.cutoff)
+    # one cutoff for the atom graph, the encoder's bead graph and the order
+    cfg = _model_config(args)
+    expanded = build_graph(graph.atoms, graph.bonds, ref, cfg.aux_cutoff)
     mapping = coarse_grain(expanded, ref)
-    order = order_beads(mapping, build_bead_graph(expanded, mapping, args.cutoff))
+    order = topology.bead_order(expanded, mapping, cfg.aux_cutoff)
 
     seed = args.seed if args.seed is not None else _default_seed()
     if args.checkpoint:
@@ -198,7 +200,6 @@ def _cmd_generate(args) -> int:
         store = ParameterStore.load(args.checkpoint)
     else:
         store = ParameterStore(seed=seed)
-    cfg = _model_config(args)
     rng = np.random.default_rng(seed)
     confs = generate_ensemble(store, cfg, expanded, mapping, ref.coords, order,
                               rng, args.num, mode=args.mode)

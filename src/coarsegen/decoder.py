@@ -9,7 +9,7 @@ mixing through vector-neuron norms, keeping the whole decoder equivariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -47,24 +47,6 @@ def channel_selection(z: Tensor, mapping: CGMapping,
     stacked = concat(pieces, axis=0)
     inverse = np.argsort(np.asarray(member_order, dtype=np.intp))
     return stacked[inverse]
-
-
-@dataclass
-class GenerationState:
-    """Progress of bead-wise autoregressive decoding."""
-    order: list[int]
-    next_pos: int = 0
-    generated_beads: list[int] = field(default_factory=list)
-    atom_ids: list[int] = field(default_factory=list)
-    coord_blocks: list[Tensor] = field(default_factory=list)
-    h_blocks: list[Tensor] = field(default_factory=list)
-
-    @property
-    def prev_centroid(self) -> np.ndarray:
-        if not self.atom_ids:
-            return np.zeros(3)
-        coords = np.concatenate([c.data for c in self.coord_blocks], axis=0)
-        return coords.mean(axis=0)
 
 
 def _refine(store: ParameterStore, cfg: ModelConfig, x0: Tensor, x_ref: Tensor,
@@ -116,60 +98,59 @@ def _decoder_atom_features(store: ParameterStore, cfg: ModelConfig,
     return affine(store, "dec.emb", Tensor(topology.atom_features(graph)), cfg.hidden_dim)
 
 
-def ar_step(store: ParameterStore, cfg: ModelConfig, state: GenerationState,
-            bead: int, x_cs: Tensor, ref_coords: np.ndarray,
-            graph: MolecularGraph, mapping: CGMapping, h0_all: Tensor,
-            teacher_coords: np.ndarray | None = None) -> GenerationState:
-    """Decode one bead, conditioning on all previously generated atoms."""
-    if bead in state.generated_beads:
-        raise ValueError(f"bead {bead} decoded twice")
-    if state.next_pos >= len(state.order) or state.order[state.next_pos] != bead:
-        raise ValueError(f"bead {bead} decoded out of order")
+def ar_step(store: ParameterStore, cfg: ModelConfig, bead: int, x_cs: Tensor,
+            ref_coords: np.ndarray, graph: MolecularGraph, mapping: CGMapping,
+            h0_all: Tensor, done_atoms: list[int], done_coords: list[Tensor],
+            done_h: list[Tensor],
+            teacher_coords: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """Decode one bead, conditioning on all previously generated atoms.
+
+    ``done_atoms`` lists those atoms in decode order; ``done_coords`` and
+    ``done_h`` hold their coordinate and feature blocks, one per bead.
+    Returns the bead's coordinates and features, rows in sorted member order.
+    """
     members = sorted(mapping.members[bead])
     x0 = x_cs[np.asarray(members, dtype=np.intp)]
     x_ref = Tensor(np.asarray(ref_coords)[members])
     h0 = h0_all[np.asarray(members, dtype=np.intp)]
     edges = topology.local_edges(graph, members)
 
-    if state.atom_ids:
+    if done_atoms:
         if teacher_coords is not None:
-            prev_coords = Tensor(np.asarray(teacher_coords)[state.atom_ids])
+            prev_coords = Tensor(np.asarray(teacher_coords)[done_atoms])
         else:
-            prev_coords = concat(state.coord_blocks, axis=0)
-        prev_h = concat(state.h_blocks, axis=0)
+            prev_coords = concat(done_coords, axis=0)
+        prev_h = concat(done_h, axis=0)
     else:
         prev_coords = None
         prev_h = None
-
-    coords, h = _refine(store, cfg, x0, x_ref, h0, edges, prev_coords, prev_h)
-    return GenerationState(
-        order=state.order,
-        next_pos=state.next_pos + 1,
-        generated_beads=state.generated_beads + [bead],
-        atom_ids=state.atom_ids + members,
-        coord_blocks=state.coord_blocks + [coords],
-        h_blocks=state.h_blocks + [h],
-    )
-
-
-def _scatter_atom_rows(blocks: list[Tensor], atom_ids: list[int]) -> Tensor:
-    stacked = concat(blocks, axis=0)
-    inverse = np.argsort(np.asarray(atom_ids, dtype=np.intp))
-    return stacked[inverse]
+    return _refine(store, cfg, x0, x_ref, h0, edges, prev_coords, prev_h)
 
 
 def decode_ar(store: ParameterStore, cfg: ModelConfig, z: Tensor,
               mapping: CGMapping, ref_coords: np.ndarray, graph: MolecularGraph,
-              order: list[int],
+              order: Sequence[int],
               teacher_coords: np.ndarray | None = None) -> Tensor:
-    """Autoregressive decoding over the bead order; optional teacher forcing."""
+    """Autoregressive decoding over the bead order; optional teacher forcing.
+
+    ``order`` must list every bead exactly once.
+    """
+    if sorted(order) != list(range(mapping.n_beads)):
+        raise ValueError(f"bead order {list(order)} is not a permutation of "
+                         f"the {mapping.n_beads} beads")
     x_cs = channel_selection(z, mapping, ref_coords)
     h0_all = _decoder_atom_features(store, cfg, graph)
-    state = GenerationState(order=list(order))
+    atom_ids: list[int] = []
+    coord_blocks: list[Tensor] = []
+    h_blocks: list[Tensor] = []
     for bead in order:
-        state = ar_step(store, cfg, state, bead, x_cs, ref_coords, graph,
-                        mapping, h0_all, teacher_coords)
-    return _scatter_atom_rows(state.coord_blocks, state.atom_ids)
+        coords, h = ar_step(store, cfg, bead, x_cs, ref_coords, graph, mapping,
+                            h0_all, atom_ids, coord_blocks, h_blocks, teacher_coords)
+        atom_ids += sorted(mapping.members[bead])
+        coord_blocks.append(coords)
+        h_blocks.append(h)
+    inverse = np.argsort(np.asarray(atom_ids, dtype=np.intp))
+    return concat(coord_blocks, axis=0)[inverse]
 
 
 def decode_ot(store: ParameterStore, cfg: ModelConfig, z: Tensor,
@@ -185,7 +166,7 @@ def decode_ot(store: ParameterStore, cfg: ModelConfig, z: Tensor,
 
 
 def generate_ensemble(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
-                      mapping: CGMapping, ref_coords: np.ndarray, order: list[int],
+                      mapping: CGMapping, ref_coords: np.ndarray, order: Sequence[int],
                       rng: np.random.Generator, num: int, mode: str = "ar",
                       noise: np.ndarray | None = None) -> list[Conformer]:
     """Sample ``num`` conformers from the learned prior conditioned on the
@@ -207,7 +188,7 @@ def generate_ensemble(store: ParameterStore, cfg: ModelConfig, graph: MolecularG
 
 
 def _draw_ensemble(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
-                   mapping: CGMapping, ref_coords: np.ndarray, order: list[int],
+                   mapping: CGMapping, ref_coords: np.ndarray, order: Sequence[int],
                    rng: np.random.Generator, num: int, mode: str,
                    noise: np.ndarray | None) -> list[Conformer]:
     ref_c, centroid = center(np.asarray(ref_coords))
@@ -225,7 +206,7 @@ def _draw_ensemble(store: ParameterStore, cfg: ModelConfig, graph: MolecularGrap
 
 
 def generate(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
-             mapping: CGMapping, ref_coords: np.ndarray, order: list[int],
+             mapping: CGMapping, ref_coords: np.ndarray, order: Sequence[int],
              rng: np.random.Generator, mode: str = "ar",
              noise: np.ndarray | None = None) -> Conformer:
     """Sample a conformer from the learned prior conditioned on the reference."""

@@ -7,8 +7,8 @@ and stored in the object's private ``_topology`` cache:
 
 - per graph: the atom feature matrix, the directed edge set, the 1/2-hop
   pairs and the edge set of every atom subset the decoder refines;
-- per mapping: the atom-to-bead index and inverse bead sizes, and the bead
-  edge set of each cutoff.
+- per mapping: the atom-to-bead index and inverse bead sizes, and, for each
+  cutoff, the bead graph's edge set and the bead decode order.
 
 Only this module reads or writes those caches. Every cached array is
 read-only, so an in-place write raises instead of corrupting later passes.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coarsen import CGMapping, build_bead_graph
+from .coarsen import BeadGraph, CGMapping, build_bead_graph, order_beads
 from .molio import MolecularGraph
 
 _BOND_ORDER_INDEX = {"single": 0, "double": 1, "triple": 2, "aromatic": 3}
@@ -44,11 +44,11 @@ def _inv_degree(dst: np.ndarray, n: int) -> np.ndarray:
     return np.where(deg > 0, 1.0 / np.maximum(deg, 1.0), 0.0)
 
 
-def _cached(owner, key, build, *args):
+def _cached(cache: dict, key, build, *args):
     try:
-        return owner._topology[key]
+        return cache[key]
     except KeyError:
-        value = owner._topology[key] = build(*args)
+        value = cache[key] = build(*args)
         return value
 
 
@@ -62,7 +62,7 @@ def _build_atom_features(graph: MolecularGraph) -> np.ndarray:
 
 def atom_features(graph: MolecularGraph) -> np.ndarray:
     """The (atoms, FEATURE_DIM) feature matrix of ``graph``."""
-    return _cached(graph, "atom_features", _build_atom_features, graph)
+    return _cached(graph._topology, "atom_features", _build_atom_features, graph)
 
 
 def _build_directed_edges(graph: MolecularGraph) -> EdgeSet:
@@ -89,7 +89,7 @@ def _build_directed_edges(graph: MolecularGraph) -> EdgeSet:
 
 def directed_edges(graph: MolecularGraph) -> EdgeSet:
     """Covalent + auxiliary edges, both directions, with bond-type one-hots."""
-    return _cached(graph, "directed_edges", _build_directed_edges, graph)
+    return _cached(graph._topology, "directed_edges", _build_directed_edges, graph)
 
 
 def hop12_pairs(graph: MolecularGraph) -> list[tuple[int, int]]:
@@ -115,7 +115,7 @@ def _build_hop12_index(graph: MolecularGraph) -> tuple[np.ndarray, np.ndarray]:
 
 def hop12_index(graph: MolecularGraph) -> tuple[np.ndarray, np.ndarray]:
     """:func:`hop12_pairs` as two index arrays (first atoms, second atoms)."""
-    return _cached(graph, "hop12", _build_hop12_index, graph)
+    return _cached(graph._topology, "hop12", _build_hop12_index, graph)
 
 
 def _build_local_edges(graph: MolecularGraph, atoms: tuple[int, ...]):
@@ -140,7 +140,7 @@ def local_edges(graph: MolecularGraph, atoms) -> tuple[np.ndarray, np.ndarray, n
     ``atoms``.
     """
     atoms = tuple(atoms)
-    return _cached(graph, ("local_edges", atoms), _build_local_edges, graph, atoms)
+    return _cached(graph._topology, ("local_edges", atoms), _build_local_edges, graph, atoms)
 
 
 # -- per mapping -----------------------------------------------------------------
@@ -155,12 +155,10 @@ def _build_pooling_index(mapping: CGMapping) -> tuple[np.ndarray, np.ndarray]:
 
 def pooling_index(mapping: CGMapping) -> tuple[np.ndarray, np.ndarray]:
     """Bead index of every atom, and 1/size of every bead as a column."""
-    return _cached(mapping, "pooling_index", _build_pooling_index, mapping)
+    return _cached(mapping._topology, "pooling_index", _build_pooling_index, mapping)
 
 
-def _build_bead_edges(graph: MolecularGraph, mapping: CGMapping,
-                      cutoff: float) -> EdgeSet:
-    bead_graph = build_bead_graph(graph, mapping, cutoff)
+def _build_bead_edges(bead_graph: BeadGraph) -> EdgeSet:
     src, dst = [], []
     for i, j in bead_graph.edges:
         src += [i, j]
@@ -173,14 +171,37 @@ def _build_bead_edges(graph: MolecularGraph, mapping: CGMapping,
     return edges
 
 
+def _build_bead_order(mapping: CGMapping, bead_graph: BeadGraph) -> tuple[int, ...]:
+    return tuple(order_beads(mapping, bead_graph))
+
+
+def _bead_cache(graph: MolecularGraph, mapping: CGMapping, cutoff: float) -> dict:
+    """The mapping's cache for one cutoff, holding the bead graph built from
+    ``graph``; another graph starts a fresh one."""
+    key = ("bead_graph", cutoff)
+    cache = mapping._topology.get(key)
+    if cache is None or cache["graph"] is not graph:
+        cache = mapping._topology[key] = {
+            "graph": graph, "bead_graph": build_bead_graph(graph, mapping, cutoff)}
+    return cache
+
+
 def bead_edges(graph: MolecularGraph, mapping: CGMapping, cutoff: float) -> EdgeSet:
     """Directed edges of the bead graph (:func:`~coarsegen.coarsen.build_bead_graph`).
 
     Cached on the mapping per cutoff, together with the graph it was built
     from; another graph rebuilds it.
     """
-    key = ("bead_edges", cutoff)
-    entry = mapping._topology.get(key)
-    if entry is None or entry[0] is not graph:
-        entry = mapping._topology[key] = (graph, _build_bead_edges(graph, mapping, cutoff))
-    return entry[1]
+    cache = _bead_cache(graph, mapping, cutoff)
+    return _cached(cache, "edges", _build_bead_edges, cache["bead_graph"])
+
+
+def bead_order(graph: MolecularGraph, mapping: CGMapping, cutoff: float) -> tuple[int, ...]:
+    """Autoregressive decode order of the beads
+    (:func:`~coarsegen.coarsen.order_beads` of the bead graph).
+
+    Built from the same bead graph as :func:`bead_edges` and cached beside
+    it. A disconnected bead graph raises ``ValueError`` on every call.
+    """
+    cache = _bead_cache(graph, mapping, cutoff)
+    return _cached(cache, "order", _build_bead_order, mapping, cache["bead_graph"])

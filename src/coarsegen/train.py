@@ -13,8 +13,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import topology
 from .autodiff import Tensor, backward, gc_paused
-from .coarsen import build_bead_graph, order_beads
 from .corpus import ToyMolecule, make_corpus
 from .decoder import decode_ar, decode_ot
 from .encoder import center, encode, encode_ensemble
@@ -124,7 +124,7 @@ def molecule_loss(store: ParameterStore, cfg: ModelConfig, mol: ToyMolecule,
     prior = prior_params(store, cfg, z_ref)
     kl = kl_divergence(post, prior)
 
-    order = order_beads(mapping, build_bead_graph(graph, mapping, cfg.aux_cutoff))
+    order = topology.bead_order(graph, mapping, cfg.aux_cutoff)
     z = sample(post, rng)
     coords = decode_ar(store, cfg, z, mapping, ref_c, graph, order,
                        teacher_coords=gt_c)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsegen.autodiff import (Tensor, as_tensor, backward, concat,
-                                segment_sum, softmax, stack)
+                                segment_sum, softmax)
 
 RNG = np.random.default_rng(42)
 
@@ -118,10 +118,6 @@ class TestFreeFunctionGrads:
         check_op(lambda t: concat([t, y], axis=0) ** 2,
                  RNG.standard_normal((3, 4)))
 
-    def test_stack(self):
-        y = Tensor(RNG.standard_normal((3,)))
-        check_op(lambda t: stack([t, y], axis=0) ** 2, RNG.standard_normal((3,)))
-
     def test_segment_sum_forward(self):
         t = Tensor(np.arange(8.0).reshape(4, 2))
         out = segment_sum(t, np.array([0, 1, 0, 1]), 2)
@@ -170,11 +166,6 @@ class TestEngineSemantics:
         t = Tensor(np.ones(3), requires_grad=True)
         backward((t * c).sum())
         assert c.grad is None
-
-    def test_detach_blocks_gradient(self):
-        t = Tensor(np.ones(3), requires_grad=True)
-        backward((t.detach() * t).sum())
-        np.testing.assert_array_equal(t.grad, np.ones(3))
 
     def test_as_tensor_passthrough(self):
         t = Tensor(np.ones(2))

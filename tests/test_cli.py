@@ -4,9 +4,15 @@ train/generate/eval roundtrip through temporary files."""
 import numpy as np
 import pytest
 
+from coarsegen import nn, topology
+from coarsegen.checks import gradient_check
 from coarsegen.cli import main
+from coarsegen.coarsen import coarse_grain
 from coarsegen.corpus import make_corpus
-from coarsegen.molio import write_sdf_records
+from coarsegen.decoder import generate_ensemble
+from coarsegen.molio import build_graph, parse_sdf, write_sdf_records
+from coarsegen.nn import ModelConfig
+from coarsegen.params import ParameterStore
 
 
 @pytest.fixture
@@ -147,6 +153,30 @@ class TestTrainAndGenerate:
         assert a == capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("cutoff", [None, 5.0])
+    def test_cutoff_applies_everywhere(self, butane_sdf, tmp_path, cutoff):
+        """``--cutoff`` sets the atom graph, the encoder's bead graph
+        (``ModelConfig.aux_cutoff``) and the decode order; the default is 4.0.
+        On this molecule the bead graph has 24 directed edges at 4.0 and 28
+        at 5.0."""
+        flags = [] if cutoff is None else ["--cutoff", str(cutoff)]
+        out = tmp_path / "gen.sdf"
+        assert main(["generate", butane_sdf, "--num", "2", "--seed", "3",
+                     "--layers", "1", "--hidden-dim", "8",
+                     "--latent-channels", "4", "--output", str(out)] + flags) == 0
+
+        c = 4.0 if cutoff is None else cutoff
+        with open(butane_sdf, encoding="utf-8") as fh:
+            graph, ref = parse_sdf(fh.read())[0]
+        expanded = build_graph(graph.atoms, graph.bonds, ref, c)
+        mapping = coarse_grain(expanded, ref)
+        cfg = ModelConfig(hidden_dim=8, latent_channels=4, layers=1, aux_cutoff=c)
+        confs = generate_ensemble(ParameterStore(seed=3), cfg, expanded, mapping,
+                                  ref.coords, topology.bead_order(expanded, mapping, c),
+                                  np.random.default_rng(3), 2)
+        assert out.read_bytes() == write_sdf_records([(graph, x) for x in confs])
+
+
 class TestConfigFile:
     def test_ini_config_applies(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"
@@ -172,6 +202,17 @@ class TestChecks:
     def test_gradcheck_passes(self, capsys):
         assert main(["gradcheck"]) == 0
         assert "[PASS]" in capsys.readouterr().out
+
+    def test_gradcheck_catches_wrong_bias_gradient(self, monkeypatch, capsys):
+        """A doubled bias gradient fails the suite, on bias parameters only."""
+        bias_grad = nn._bias_grad
+        monkeypatch.setattr(nn, "_bias_grad", lambda g: 2.0 * bias_grad(g))
+        report = gradient_check(seed=0)
+        assert not report.passed
+        failed = {f.split("[")[0].rsplit(".", 1)[1] for f in report.failures}
+        assert failed <= {"b", "b0", "b1"} and {"b0", "b1"} <= failed
+        assert main(["gradcheck", "--seed", "0"]) == 1
+        assert "[FAIL]" in capsys.readouterr().out
 
     def test_equivcheck_small_passes(self, capsys):
         assert main(["equivcheck", "--molecules", "2", "--motions", "2"]) == 0

@@ -6,8 +6,8 @@ import pytest
 
 from coarsegen.autodiff import Tensor
 from coarsegen.coarsen import build_bead_graph, order_beads
-from coarsegen.decoder import (GenerationState, ar_step, channel_selection,
-                               decode_ar, decode_ot, generate, generate_ensemble)
+from coarsegen.decoder import (channel_selection, decode_ar, decode_ot, generate,
+                               generate_ensemble)
 from coarsegen.geometry import random_rotation
 from coarsegen.nn import ModelConfig
 from coarsegen.params import ParameterStore
@@ -102,27 +102,21 @@ class TestReferenceAnchoring:
 
 
 class TestAutoregressiveBookkeeping:
-    def test_revisit_rejected(self, mol, cfg, store):
+    @pytest.mark.parametrize("make_order", [
+        lambda order: order[:-1],                   # a bead left out
+        lambda order: order + order[:1],            # a bead repeated
+        lambda order: [order[0]] * len(order),      # one bead in every slot
+    ], ids=["missing", "repeated", "same"])
+    def test_order_must_be_permutation(self, mol, cfg, store, make_order):
+        """An order that is not a permutation of the beads raises instead of
+        returning a conformer with missing or duplicated atoms."""
         graph, mapping, _, ref, order = mol
+        bad = make_order(list(order))
         z = latent_for(mapping, cfg)
-        x_cs = channel_selection(z, mapping, ref)
-        from coarsegen.decoder import _decoder_atom_features
-        h0 = _decoder_atom_features(store, cfg, graph)
-        state = GenerationState(order=list(order))
-        state = ar_step(store, cfg, state, order[0], x_cs, ref, graph,
-                        mapping, h0)
-        with pytest.raises(ValueError, match="twice"):
-            ar_step(store, cfg, state, order[0], x_cs, ref, graph, mapping, h0)
-
-    def test_out_of_order_rejected(self, mol, cfg, store):
-        graph, mapping, _, ref, order = mol
-        z = latent_for(mapping, cfg)
-        x_cs = channel_selection(z, mapping, ref)
-        from coarsegen.decoder import _decoder_atom_features
-        h0 = _decoder_atom_features(store, cfg, graph)
-        state = GenerationState(order=list(order))
-        with pytest.raises(ValueError, match="order"):
-            ar_step(store, cfg, state, order[1], x_cs, ref, graph, mapping, h0)
+        with pytest.raises(ValueError, match="permutation"):
+            decode_ar(store, cfg, z, mapping, ref, graph, bad)
+        with pytest.raises(ValueError, match="permutation"):
+            generate(store, cfg, graph, mapping, ref, bad, np.random.default_rng(0))
 
     def test_full_pass_covers_all_atoms(self, mol, cfg, store):
         graph, mapping, _, ref, order = mol

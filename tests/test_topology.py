@@ -21,7 +21,8 @@ from coarsegen.train import RunConfig, train
 from tests.conftest import butane_like
 
 BUILDERS = ("_build_atom_features", "_build_directed_edges", "_build_hop12_index",
-            "_build_local_edges", "_build_pooling_index", "_build_bead_edges")
+            "_build_local_edges", "_build_pooling_index", "_build_bead_edges",
+            "_build_bead_order")
 
 
 @pytest.fixture
@@ -42,7 +43,7 @@ def builds(monkeypatch):
 def encode_and_decode(mol, cfg, store):
     gt_c, ref_c = center(mol.gt.coords)[0], center(mol.ref.coords)[0]
     z, _ = encode(store, cfg, mol.graph, mol.mapping, gt_c, ref_c)
-    order = order_beads(mol.mapping, build_bead_graph(mol.graph, mol.mapping, cfg.aux_cutoff))
+    order = topology.bead_order(mol.graph, mol.mapping, cfg.aux_cutoff)
     coords = decode_ar(store, cfg, z, mol.mapping, ref_c, mol.graph, order)
     decode_ot(store, cfg, z, mol.mapping, ref_c, mol.graph)
     distance_loss(coords, gt_c, mol.graph)
@@ -72,6 +73,7 @@ class TestTopologyCache:
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
+        assert isinstance(topology.bead_order(graph, mapping, 4.0), tuple)
 
     def test_graph_and_mapping_are_frozen(self):
         graph, mapping, _, _ = butane_like()
@@ -90,6 +92,25 @@ class TestTopologyCache:
         shuffled = MolecularGraph(graph.atoms, graph.bonds[1:] + graph.bonds[:1])
         assert len(topology.bead_edges(shuffled, mapping, 0.1).src) == 0
         assert topology.bead_edges(graph, mapping, 0.1).src.tolist() == bonded.src.tolist()
+
+    @pytest.mark.parametrize("cutoff", [0.1, 4.0])
+    def test_bead_order_matches_order_beads(self, cutoff):
+        for mol in make_corpus(6, 2):
+            graph, mapping = mol.graph, mol.mapping
+            want = order_beads(mapping, build_bead_graph(graph, mapping, cutoff))
+            assert topology.bead_order(graph, mapping, cutoff) == tuple(want)
+
+    def test_bead_order_follows_the_graph(self):
+        """The order cached on a mapping is rebuilt for another graph, and a
+        disconnected bead graph raises on every call."""
+        graph, mapping, _, _ = butane_like()
+        assert topology.bead_order(graph, mapping, 0.1) == (0, 1)
+        # same bonds in another order: no severed bond joins the two beads
+        shuffled = MolecularGraph(graph.atoms, graph.bonds[1:] + graph.bonds[:1])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="disconnected"):
+                topology.bead_order(shuffled, mapping, 0.1)
+        assert topology.bead_order(graph, mapping, 0.1) == (0, 1)
 
     def test_local_edges_match_subgraph(self):
         graph, _, _, _ = butane_like()
@@ -147,7 +168,7 @@ class TestGcPaused:
         graph, mapping, _, ref = butane_like()
         cfg = ModelConfig(hidden_dim=8, latent_channels=4, layers=2)
         store = ParameterStore(seed=0)
-        order = order_beads(mapping, build_bead_graph(graph, mapping, 4.0))
+        order = topology.bead_order(graph, mapping, 4.0)
         rng = np.random.default_rng(0)
         for mode in ("ar", "ot"):
             assert cycle_garbage(lambda: generate_ensemble(
