@@ -1,4 +1,5 @@
-"""Time the geometric kernels at fixed sizes, from the repository root:
+"""Time the geometric kernels and the tape's segment sum at fixed sizes,
+from the repository root:
 
     PYTHONPATH=src python benchmarks/bench_kernels.py
 
@@ -15,7 +16,7 @@ import time
 
 import numpy as np
 
-from coarsegen import kernels
+from coarsegen import autodiff, kernels
 
 REPEAT = 21
 
@@ -28,7 +29,7 @@ def bench(label, fn, *args) -> None:
         fn(*args)
         times.append(1e3 * (time.perf_counter() - t0))
     q1, med, q3 = statistics.quantiles(times, n=4)
-    print(f"{label:<32s} median {med:9.3f} ms  quartiles {q1:.3f}-{q3:.3f} ms  (n={REPEAT})")
+    print(f"{label:<32s} median {med:9.4f} ms  quartiles {q1:.4f}-{q3:.4f} ms  (n={REPEAT})")
 
 
 def main() -> None:
@@ -40,6 +41,12 @@ def main() -> None:
     a = rng.standard_normal((64, 40, 3))
     b = rng.standard_normal((64, 40, 3))
     bench("rmsd_matrix 64x64 m=40", kernels.rmsd_matrix, a, b)
+
+    # one message-passing aggregation: E=60 edge messages of width D=16 into
+    # the 20 atoms of a desk-scale molecule
+    messages = autodiff.Tensor(rng.standard_normal((60, 16)))
+    dst = rng.integers(0, 20, size=60)
+    bench("segment_sum E=60 D=16", autodiff.segment_sum, messages, dst, 20)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ the lines. Each line digests the raw float64 bytes of:
 
 - ``ot`` / ``elbo-ar``: the loss of each of 10 toy molecules from a fresh
   parameter store, and every parameter gradient after its backward;
-- ``generate``: 40 conformers drawn with ``decoder.generate``;
+- ``generate`` / ``generate-ot``: 40 conformers drawn with
+  ``decoder.generate`` in the ``ar`` and in the ``ot`` decode mode;
 - ``rmsd_matrix``: the RMSD matrices of 30 random stack pairs;
 - ``train``: the checkpoint bytes after 2 epochs of ``ot`` training with Adam;
 - ``gradcheck``: ``max_rel`` of ``checks.gradient_check`` at seeds 0, 1 and 2;
@@ -59,7 +60,7 @@ def loss_and_grads(preset: str, mols) -> str:
     return digest(chunks)
 
 
-def draws(mols) -> str:
+def draws(mols, mode: str) -> str:
     cfg = train.RunConfig().model_config()
     store = ParameterStore(seed=5)
     rng = np.random.default_rng(6)
@@ -69,7 +70,8 @@ def draws(mols) -> str:
             mol.mapping, coarsen.build_bead_graph(mol.graph, mol.mapping, cfg.aux_cutoff))
         for _ in range(10):
             chunks.append(decoder.generate(store, cfg, mol.graph, mol.mapping,
-                                           mol.ref.coords, order, rng).coords)
+                                           mol.ref.coords, order, rng,
+                                           mode=mode).coords)
     return digest(chunks)
 
 
@@ -107,7 +109,8 @@ def main() -> None:
     mols = corpus.make_corpus(N_MOLECULES, 11, n_truth=5)
     print(f"ot           {loss_and_grads('ot', mols)}")
     print(f"elbo-ar      {loss_and_grads('elbo-ar', mols)}")
-    print(f"generate     {draws(mols)}")
+    print(f"generate     {draws(mols, 'ar')}")
+    print(f"generate-ot  {draws(mols, 'ot')}")
     print(f"rmsd_matrix  {rmsd_matrices()}")
     print(f"train        {checkpoint()}")
     print(f"gradcheck    {gradcheck()}")

@@ -11,15 +11,23 @@ affine, vector-neuron and RBF layers in :mod:`coarsegen.nn`) are fused: each
 records one node whose hand-written backward replaces a chain of primitive
 nodes, and whose forward runs the same numpy operations in the same order
 as that chain, so forward values are unchanged.
+
+Inside :func:`no_grad` no op records anything: outputs keep no parents and
+no backward function, so forward-only work (sampling, equivariance checks)
+builds no tape.
 """
 
 from __future__ import annotations
 
 import contextlib
 import gc
+import math
 from itertools import accumulate
 
 import numpy as np
+
+# read by Tensor.__init__; only no_grad() changes it
+_recording = True
 
 
 class Tensor:
@@ -29,15 +37,15 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward_fn=None):
         self.data = np.asarray(data, dtype=np.float64)
-        if not requires_grad:
+        if not requires_grad and _recording:
             for p in _parents:
                 if p.requires_grad:
                     requires_grad = True
                     break
         self.requires_grad = requires_grad
         self.grad = None
-        self._parents = _parents if self.requires_grad else ()
-        self._backward_fn = _backward_fn if self.requires_grad else None
+        self._parents = _parents if requires_grad else ()
+        self._backward_fn = _backward_fn if requires_grad else None
 
     # -- basic introspection -------------------------------------------------
     @property
@@ -68,10 +76,18 @@ class Tensor:
         return Tensor(-self.data, _parents=(self,), _backward_fn=lambda g: (-g,))
 
     def __sub__(self, other):
-        return self + (-as_tensor(other))
+        # one node; x - y is exactly x + (-y) in IEEE arithmetic
+        other = as_tensor(other)
+        out_data = self.data - other.data
+
+        def bw(g):
+            return (_unbroadcast(g, self.data.shape),
+                    -_unbroadcast(g, other.data.shape))
+
+        return Tensor(out_data, _parents=(self, other), _backward_fn=bw)
 
     def __rsub__(self, other):
-        return as_tensor(other) + (-self)
+        return as_tensor(other) - self
 
     def __mul__(self, other):
         other = as_tensor(other)
@@ -144,11 +160,16 @@ class Tensor:
     def __getitem__(self, idx):
         out_data = self.data[idx]
         src_shape = self.data.shape
-
-        def bw(g):
-            acc = np.zeros(src_shape)
-            np.add.at(acc, idx, g)
-            return (acc,)
+        if (isinstance(idx, np.ndarray) and idx.ndim == 1
+                and idx.dtype.kind in "iu"):
+            def bw(g):
+                # a row index may be negative; bincount wants it in range
+                return (_scatter_rows(g, idx % src_shape[0], src_shape[0]),)
+        else:
+            def bw(g):
+                acc = np.zeros(src_shape)
+                np.add.at(acc, idx, g)
+                return (acc,)
 
         return Tensor(out_data, _parents=(self,), _backward_fn=bw)
 
@@ -165,8 +186,11 @@ class Tensor:
         return Tensor(out_data, _parents=(self,), _backward_fn=bw)
 
     def mean(self, axis=None, keepdims=False):
-        n = self.data.size if axis is None else np.prod(
-            [self.data.shape[a] for a in np.atleast_1d(axis)])
+        if axis is None:
+            n = self.data.size
+        else:
+            n = math.prod(self.data.shape[a]
+                          for a in (axis if isinstance(axis, tuple) else (axis,)))
         return self.sum(axis=axis, keepdims=keepdims) / float(n)
 
     # -- elementwise ---------------------------------------------------------
@@ -210,7 +234,24 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function of an array, overflow-safe for large |x|."""
     # evaluate exp on the non-positive branch only, so huge |x| can't overflow
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
+
+
+def _scatter_rows(values: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
+    """Sum ``values[k]`` into row ``ids[k]`` of an (n, ...) array of zeros.
+
+    One ``bincount`` over the flattened (row, column) indices. It adds in
+    the order of ``np.add.at`` on zeros, so the result is bit-identical,
+    signed zeros included. ``ids`` must lie in ``[0, n)``.
+    """
+    trail = values.shape[1:]
+    width = math.prod(trail)
+    flat = (ids[:, None] * width + np.arange(width)).reshape(-1)
+    out = np.bincount(flat, weights=values.reshape(-1), minlength=n * width)
+    return out.reshape((n,) + trail)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -240,11 +281,11 @@ def concat(tensors, axis=0) -> Tensor:
 
 
 def segment_sum(t: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Sum rows of ``t`` into ``num_segments`` buckets given by ``segment_ids``."""
+    """Sum rows of ``t`` into ``num_segments`` buckets given by ``segment_ids``,
+    each in ``[0, num_segments)``."""
     t = as_tensor(t)
     segment_ids = np.asarray(segment_ids, dtype=np.intp)
-    out_data = np.zeros((num_segments,) + t.data.shape[1:])
-    np.add.at(out_data, segment_ids, t.data)
+    out_data = _scatter_rows(t.data, segment_ids, num_segments)
     return Tensor(out_data, _parents=(t,),
                   _backward_fn=lambda g: (g[segment_ids],))
 
@@ -259,6 +300,25 @@ def softmax(t: Tensor, axis=-1) -> Tensor:
         return (out_data * (g - (g * out_data).sum(axis=axis, keepdims=True)),)
 
     return Tensor(out_data, _parents=(t,), _backward_fn=bw)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape inside the block.
+
+    Op outputs get ``requires_grad=False`` and keep no parents and no
+    backward function, so nothing of the forward outlives its last use. A
+    leaf created with ``requires_grad=True`` (a parameter) keeps it. The
+    previous state is restored on exit, also when the block raises, so the
+    blocks nest. The state is one per process, not per thread.
+    """
+    global _recording
+    previous = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 @contextlib.contextmanager

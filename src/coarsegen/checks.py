@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import topology
-from .autodiff import backward
+from .autodiff import backward, no_grad
 from .coarsen import coarse_grain
 from .corpus import ToyMolecule, make_corpus
 from .decoder import generate
@@ -53,7 +53,8 @@ def equivariance_check(seed: int = 0, n_molecules: int = 20,
     """Rotate+translate inputs and compare against the co-rotated baseline.
 
     The sampling noise is co-rotated with the inputs, since a matched-seed
-    draw is only equivalent up to the rotation of the isotropic noise.
+    draw is only equivalent up to the rotation of the isotropic noise. No
+    tape is recorded (:func:`~coarsegen.autodiff.no_grad`).
     """
     if cfg is None:
         cfg = ModelConfig(hidden_dim=8, latent_channels=4, layers=2)
@@ -64,24 +65,25 @@ def equivariance_check(seed: int = 0, n_molecules: int = 20,
     lat_max = 0.0
     gen_max = 0.0
     cases = 0
-    for mol in corpus:
-        graph, mapping = mol.graph, mol.mapping
-        ref = mol.ref.coords
-        order = topology.bead_order(graph, mapping, cfg.aux_cutoff)
-        z_base = encode_reference(store, cfg, graph, mapping, ref).data
-        noise = rng.standard_normal(z_base.shape)
-        base = generate(store, cfg, graph, mapping, ref, order, rng,
-                        mode="ar", noise=noise).coords
-        for _ in range(n_motions):
-            rot = random_rotation(rng)
-            shift = rng.uniform(-10.0, 10.0, size=3)
-            moved = ref @ rot.T + shift
-            z_moved = encode_reference(store, cfg, graph, mapping, moved).data
-            lat_max = max(lat_max, _rel_err(z_moved, z_base @ rot.T))
-            out = generate(store, cfg, graph, mapping, moved, order, rng,
-                           mode="ar", noise=noise @ rot.T).coords
-            gen_max = max(gen_max, _rel_err(out, base @ rot.T + shift))
-            cases += 1
+    with no_grad():
+        for mol in corpus:
+            graph, mapping = mol.graph, mol.mapping
+            ref = mol.ref.coords
+            order = topology.bead_order(graph, mapping, cfg.aux_cutoff)
+            z_base = encode_reference(store, cfg, graph, mapping, ref).data
+            noise = rng.standard_normal(z_base.shape)
+            base = generate(store, cfg, graph, mapping, ref, order, rng,
+                            mode="ar", noise=noise).coords
+            for _ in range(n_motions):
+                rot = random_rotation(rng)
+                shift = rng.uniform(-10.0, 10.0, size=3)
+                moved = ref @ rot.T + shift
+                z_moved = encode_reference(store, cfg, graph, mapping, moved).data
+                lat_max = max(lat_max, _rel_err(z_moved, z_base @ rot.T))
+                out = generate(store, cfg, graph, mapping, moved, order, rng,
+                               mode="ar", noise=noise @ rot.T).coords
+                gen_max = max(gen_max, _rel_err(out, base @ rot.T + shift))
+                cases += 1
     return EquivarianceReport(latent_max_rel=lat_max, generate_max_rel=gen_max,
                               n_cases=cases)
 

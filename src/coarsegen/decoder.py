@@ -14,7 +14,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import topology
-from .autodiff import Tensor, concat, gc_paused, segment_sum, softmax
+from .autodiff import Tensor, concat, no_grad, segment_sum, softmax
 from .coarsen import CGMapping
 from .encoder import center, encode_reference
 from .latent import prior_params, sample
@@ -175,33 +175,22 @@ def generate_ensemble(store: ParameterStore, cfg: ModelConfig, graph: MolecularG
     The reference is encoded and the prior computed once; the draws use
     ``rng`` in turn, so the result equals ``num`` successive :func:`generate`
     calls. ``noise`` (num x beads x channels x 3) overrides the drawn eps.
-    The cyclic garbage collector is paused meanwhile (see
-    :func:`~coarsegen.autodiff.gc_paused`).
+    The draws record no tape (see :func:`~coarsegen.autodiff.no_grad`).
     """
     if mode not in ("ar", "ot"):
         raise ValueError(f"unknown decode mode {mode!r}")
-    # the tape is freed when _draw_ensemble returns, so the collector
-    # resumes with nothing new to scan
-    with gc_paused():
-        return _draw_ensemble(store, cfg, graph, mapping, ref_coords, order, rng,
-                              num, mode, noise)
-
-
-def _draw_ensemble(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
-                   mapping: CGMapping, ref_coords: np.ndarray, order: Sequence[int],
-                   rng: np.random.Generator, num: int, mode: str,
-                   noise: np.ndarray | None) -> list[Conformer]:
     ref_c, centroid = center(np.asarray(ref_coords))
-    z_ref = encode_reference(store, cfg, graph, mapping, ref_c)
-    prior = prior_params(store, cfg, z_ref)
     out = []
-    for i in range(num):
-        z_sample = sample(prior, rng, noise=None if noise is None else noise[i])
-        if mode == "ar":
-            coords = decode_ar(store, cfg, z_sample, mapping, ref_c, graph, order)
-        else:
-            coords = decode_ot(store, cfg, z_sample, mapping, ref_c, graph)
-        out.append(Conformer(coords.data + centroid))
+    with no_grad():
+        z_ref = encode_reference(store, cfg, graph, mapping, ref_c)
+        prior = prior_params(store, cfg, z_ref)
+        for i in range(num):
+            z_sample = sample(prior, rng, noise=None if noise is None else noise[i])
+            if mode == "ar":
+                coords = decode_ar(store, cfg, z_sample, mapping, ref_c, graph, order)
+            else:
+                coords = decode_ot(store, cfg, z_sample, mapping, ref_c, graph)
+            out.append(Conformer(coords.data + centroid))
     return out
 
 

@@ -79,10 +79,12 @@ def mlp(store: ParameterStore, prefix: str, x: Tensor,
     b0 = store.new(f"{prefix}.b0", (d_hidden,), fan_in=d_in)
     w1 = store.new(f"{prefix}.w1", (d_hidden, d_out), fan_in=d_hidden)
     b1 = store.new(f"{prefix}.b1", (d_out,), fan_in=d_hidden)
-    pre = np.matmul(x.data, w0.data) + b0.data
+    pre = np.matmul(x.data, w0.data)
+    pre += b0.data
     sig = _sigmoid(pre)
     act = pre * sig
-    out_data = np.matmul(act, w1.data) + b1.data
+    out_data = np.matmul(act, w1.data)
+    out_data += b1.data
 
     def bw(g):
         # d silu(p)/dp = s(p) (1 + p (1 - s(p)))
@@ -99,7 +101,8 @@ def affine(store: ParameterStore, prefix: str, x: Tensor, d_out: int) -> Tensor:
     d_in = x.shape[-1]
     w = store.new(f"{prefix}.w", (d_in, d_out), fan_in=d_in)
     b = store.new(f"{prefix}.b", (d_out,), fan_in=d_in)
-    out_data = np.matmul(x.data, w.data) + b.data
+    out_data = np.matmul(x.data, w.data)
+    out_data += b.data
 
     def bw(g):
         g_x = np.matmul(g, w.data.T) if x.requires_grad else None

@@ -25,9 +25,14 @@ class ParameterStore:
         self.seed = int(seed)
         self.rng = np.random.default_rng(seed)
         self.step = 0
+        self._loaded = False      # a loaded store creates no new parameters
 
     def new(self, name: str, shape: tuple, fan_in: int | None = None) -> Tensor:
-        """Create (or fetch) a parameter, initialized uniform(+-1/sqrt(fan_in))."""
+        """Create (or fetch) a parameter, initialized uniform(+-1/sqrt(fan_in)).
+
+        A store returned by :meth:`load` only fetches: a name the checkpoint
+        lacks raises ``ValueError`` instead of drawing random weights.
+        """
         if name in self.params:
             existing = self.params[name]
             if existing.data.shape != tuple(shape):
@@ -35,6 +40,11 @@ class ParameterStore:
                     f"parameter {name!r} exists with shape {existing.data.shape}, "
                     f"requested {tuple(shape)}")
             return existing
+        if self._loaded:
+            raise ValueError(
+                f"parameter {name!r} is not in the checkpoint: the model flags "
+                f"do not match the checkpoint, or it never trained this part "
+                f"of the model")
         if fan_in is None:
             fan_in = shape[0] if shape else 1
         bound = 1.0 / np.sqrt(max(fan_in, 1))
@@ -119,4 +129,5 @@ class ParameterStore:
                 raw = fh.read(count * 8)
                 data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
                 store.params[entry["name"]] = Tensor(data, requires_grad=True)
+        store._loaded = True
         return store

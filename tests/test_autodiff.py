@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsegen.autodiff import (Tensor, as_tensor, backward, concat,
-                                segment_sum, softmax)
+from coarsegen.autodiff import (Tensor, _scatter_rows, as_tensor, backward,
+                                concat, no_grad, segment_sum, softmax)
 
 RNG = np.random.default_rng(42)
 
@@ -184,3 +184,122 @@ def test_chain_rule_random_polynomials(xs, ys):
     out = ((t * t) * Tensor(y) + t * 2.0).sum()
     backward(out)
     np.testing.assert_allclose(t.grad, 2.0 * x * y + 2.0, rtol=1e-9, atol=1e-9)
+
+
+def records(t: Tensor) -> bool:
+    return t.requires_grad and t._backward_fn is not None and bool(t._parents)
+
+
+class TestNoGrad:
+    def ops(self, x):
+        """One of each kind of op: arithmetic, indexing, fused, reductions."""
+        y = (x * 2.0 + 1.0 - x[np.array([1, 0, 2])]) / 3.0
+        y = softmax(segment_sum(y, np.array([0, 1, 0]), 2), axis=1)
+        return concat([y, x[0:1] ** 2], axis=0).mean()
+
+    def test_ops_record_nothing(self):
+        x = Tensor(RNG.standard_normal((3, 4)), requires_grad=True)
+        with no_grad():
+            out = self.ops(x)
+        assert not out.requires_grad
+        assert out._parents == () and out._backward_fn is None
+        assert x.requires_grad    # a leaf keeps its flag
+        np.testing.assert_array_equal(out.data, self.ops(x).data)
+
+    def test_leaf_created_inside_keeps_requires_grad(self):
+        with no_grad():
+            w = Tensor(np.ones(3), requires_grad=True)
+        assert w.requires_grad
+        backward((w * 2.0).sum())
+        np.testing.assert_array_equal(w.grad, np.full(3, 2.0))
+
+    def test_restored_after_exception(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("boom")
+        assert records(x * 2.0)
+
+    def test_nested(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with no_grad():
+            with no_grad():
+                assert not records(x * 2.0)
+            assert not records(x * 2.0)
+        assert records(x * 2.0)
+
+
+def add_at(values, ids, n):
+    acc = np.zeros((n,) + values.shape[1:])
+    np.add.at(acc, ids, values)
+    return acc
+
+
+def assert_bit_identical(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestScatterRows:
+    @pytest.mark.parametrize("trail", [(), (3,), (4, 3)])
+    @pytest.mark.parametrize("ids", [[], [2], [0, 0, 0], [3, 1, 3, 0, 1, 3]])
+    def test_equals_add_at(self, trail, ids):
+        rng = np.random.default_rng(len(ids) + 7 * len(trail))
+        ids = np.array(ids, dtype=np.intp)
+        values = rng.standard_normal((len(ids),) + trail) * 10.0 ** rng.integers(
+            -8, 8, size=(len(ids),) + trail)
+        assert_bit_identical(_scatter_rows(values, ids, 5), add_at(values, ids, 5))
+
+    @pytest.mark.parametrize("trail", [(), (3,), (2, 3)])
+    def test_signed_zeros(self, trail):
+        ids = np.array([0, 1, 1, 2, 2], dtype=np.intp)
+        values = np.full((5,) + trail, -0.0)
+        values[3] = 1.5
+        values[4] = -1.5          # row 2 sums to +0.0 through 1.5 + (-1.5)
+        assert_bit_identical(_scatter_rows(values, ids, 4), add_at(values, ids, 4))
+
+    def test_segment_sum_and_getitem_backward(self):
+        x = RNG.standard_normal((6, 3))
+        ids = np.array([4, 0, 4, 5, 0, 0, -1])
+        t = Tensor(x, requires_grad=True)
+        g = RNG.standard_normal((7, 3))
+        backward((t[ids] * Tensor(g)).sum())
+        assert_bit_identical(t.grad, add_at(g, ids, 6))
+        out = segment_sum(Tensor(g[:6]), ids[:6], 6).data
+        assert_bit_identical(out, add_at(g[:6], ids[:6], 6))
+
+
+class TestOneNodeSub:
+    @pytest.mark.parametrize("b_shape", [(3, 4), (1, 4), (4,), ()])
+    def test_matches_add_neg_chain(self, b_shape):
+        rng = np.random.default_rng(len(b_shape))
+        a_data = rng.standard_normal((3, 4))
+        b_data = rng.standard_normal(b_shape)
+        g = rng.standard_normal((3, 4))
+
+        def grads(combine):
+            a = Tensor(a_data, requires_grad=True)
+            b = Tensor(b_data, requires_grad=True)
+            out = combine(a, b)
+            backward((out * Tensor(g)).sum())
+            return out, a.grad, b.grad
+
+        out, ga, gb = grads(lambda a, b: a - b)
+        ref_out, ref_ga, ref_gb = grads(lambda a, b: a + (-b))
+        assert_bit_identical(out.data, ref_out.data)
+        assert_bit_identical(ga, ref_ga)
+        assert_bit_identical(gb, ref_gb)
+        assert out._parents[1].shape == b_shape     # no neg node between
+
+        out, ga, gb = grads(lambda a, b: b - a)
+        ref_out, ref_ga, ref_gb = grads(lambda a, b: b + (-a))
+        assert_bit_identical(out.data, ref_out.data)
+        assert_bit_identical(ga, ref_ga)
+        assert_bit_identical(gb, ref_gb)
+
+    def test_rsub_is_one_node(self):
+        t = Tensor(RNG.standard_normal(3), requires_grad=True)
+        out = 1.0 - t
+        assert out._parents[1] is t
+        np.testing.assert_array_equal(out.data, 1.0 + (-t.data))

@@ -136,6 +136,27 @@ class TestTrainAndGenerate:
         assert main(["eval", str(gen_path), str(truth_path)]) == 0
         assert "amr_recall" in capsys.readouterr().out
 
+    def test_checkpoint_with_other_layers_rejected(self, tmp_path, capsys):
+        """A 3-layer generate on a 2-layer checkpoint exits 1 naming the
+        missing parameter, instead of sampling from random layer-2 weights."""
+        ckpt_dir = tmp_path / "ckpt"
+        small = ["--hidden-dim", "8", "--latent-channels", "4"]
+        assert main(["train", "--epochs", "1", "--corpus-size", "1",
+                     "--layers", "2", "--checkpoint-dir", str(ckpt_dir)] + small) == 0
+        mol = make_corpus(1, 0)[0]
+        ref_path = tmp_path / "ref.sdf"
+        ref_path.write_bytes(write_sdf_records([(mol.graph, mol.ref)]))
+        gen_path = tmp_path / "gen.sdf"
+        capsys.readouterr()
+        rc = main(["generate", str(ref_path), "--checkpoint",
+                   str(ckpt_dir / "ckpt_epoch0.bin"), "--layers", "3",
+                   "--output", str(gen_path)] + small)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "not in the checkpoint" in err and ".l2." in err
+        assert "flags do not match" in err
+        assert not gen_path.exists()
+
     def test_generate_to_stdout(self, butane_sdf, capsys):
         rc = main(["generate", butane_sdf, "--seed", "0", "--layers", "1",
                    "--hidden-dim", "8", "--latent-channels", "4"])

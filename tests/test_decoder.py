@@ -1,16 +1,22 @@
 """Backmapping decoder: reference anchoring, channel selection semantics,
 autoregressive bookkeeping, equivariance of full generation."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
-from coarsegen.autodiff import Tensor
+from coarsegen import decoder
+from coarsegen.autodiff import Tensor, backward
 from coarsegen.coarsen import build_bead_graph, order_beads
+from coarsegen.corpus import ToyMolecule
 from coarsegen.decoder import (channel_selection, decode_ar, decode_ot, generate,
                                generate_ensemble)
 from coarsegen.geometry import random_rotation
+from coarsegen.molio import Conformer
 from coarsegen.nn import ModelConfig
 from coarsegen.params import ParameterStore
+from coarsegen.train import RunConfig, molecule_loss
 from tests.conftest import butane_like
 
 RNG = np.random.default_rng(11)
@@ -189,3 +195,41 @@ class TestGenerate:
         out = generate(store, cfg, graph, mapping, ref, order,
                        np.random.default_rng(0), mode="ot")
         assert out.coords.shape == (graph.n_atoms, 3)
+
+
+class TestNoGradSampling:
+    """``generate_ensemble`` draws under ``no_grad``; patching that out to a
+    null context gives the same draws taken while recording."""
+
+    def draw(self, mol, cfg, mode):
+        graph, mapping, _, ref, order = mol
+        store = ParameterStore(seed=6)
+        confs = generate_ensemble(store, cfg, graph, mapping, ref, order,
+                                  np.random.default_rng(9), 3, mode=mode)
+        return store, [c.coords for c in confs]
+
+    @pytest.mark.parametrize("mode", ["ar", "ot"])
+    def test_draws_equal_recorded_draws(self, mol, cfg, mode, monkeypatch):
+        _, quiet = self.draw(mol, cfg, mode)
+        monkeypatch.setattr(decoder, "no_grad", contextlib.nullcontext)
+        _, recorded = self.draw(mol, cfg, mode)
+        for a, b in zip(quiet, recorded):
+            assert np.array_equal(a, b)
+
+    def test_parameters_created_inside_still_train(self, mol, cfg, monkeypatch):
+        graph, mapping, gt, ref, _ = mol
+        quiet, _ = self.draw(mol, cfg, "ar")
+        monkeypatch.setattr(decoder, "no_grad", contextlib.nullcontext)
+        recorded, _ = self.draw(mol, cfg, "ar")
+        assert quiet.names() == recorded.names()
+        assert all(quiet[n].requires_grad for n in quiet.names())
+
+        toy = ToyMolecule(graph, Conformer(gt), Conformer(ref), [], mapping)
+        run = RunConfig(preset="elbo-ar")
+        for store in (quiet, recorded):
+            loss, _ = molecule_loss(store, cfg, toy, run, 0,
+                                    np.random.default_rng(2))
+            backward(loss)
+        for name in recorded.names():
+            assert quiet[name].grad is not None
+            assert np.array_equal(quiet[name].grad, recorded[name].grad), name

@@ -69,6 +69,17 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, store):
                                       store.params[name].data)
 
 
+def test_loaded_store_creates_no_parameters(tmp_path, store):
+    store.new("a.w", (3, 2))
+    path = tmp_path / "ckpt.bin"
+    store.save(path)
+    loaded = ParameterStore.load(path)
+    assert loaded.new("a.w", (3, 2)) is loaded["a.w"]
+    with pytest.raises(ValueError, match="'b.w' is not in the checkpoint"):
+        loaded.new("b.w", (5,))
+    assert "b.w" not in loaded
+
+
 def test_checkpoint_save_is_deterministic(tmp_path, store):
     store.new("a.w", (3, 2))
     p1, p2 = tmp_path / "c1.bin", tmp_path / "c2.bin"
