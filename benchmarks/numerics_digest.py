@@ -6,8 +6,10 @@ the package bit for bit. From the repository root:
 Run it once per version (point ``PYTHONPATH`` at each ``src``) and compare
 the lines. Each line digests the raw float64 bytes of:
 
-- ``ot`` / ``elbo-ar``: the loss of each of 10 toy molecules from a fresh
-  parameter store, and every parameter gradient after its backward;
+- ``ot`` / ``elbo-ar`` / ``elbo-annealed``: the loss of each of 10 toy
+  molecules at epoch 1 from a fresh parameter store, and every parameter
+  gradient after its backward (at epoch 1 the annealed KL weight is the
+  ladder's second rung, 1e-5);
 - ``generate`` / ``generate-ot``: 40 conformers drawn with
   ``decoder.generate`` in the ``ar`` and in the ``ot`` decode mode;
 - ``rmsd_matrix``: the RMSD matrices of 30 random stack pairs;
@@ -109,6 +111,7 @@ def main() -> None:
     mols = corpus.make_corpus(N_MOLECULES, 11, n_truth=5)
     print(f"ot           {loss_and_grads('ot', mols)}")
     print(f"elbo-ar      {loss_and_grads('elbo-ar', mols)}")
+    print(f"elbo-annealed {loss_and_grads('elbo-annealed', mols)}")
     print(f"generate     {draws(mols, 'ar')}")
     print(f"generate-ot  {draws(mols, 'ot')}")
     print(f"rmsd_matrix  {rmsd_matrices()}")

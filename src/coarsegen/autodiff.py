@@ -5,7 +5,7 @@ produced it. Calling :func:`backward` on a scalar output accumulates
 gradients into every reachable leaf with ``requires_grad=True``.
 
 The primitive ops are affine arithmetic, matmul (with numpy broadcasting),
-reductions, exp/log/sqrt, sigmoid, indexing, concatenation and segment
+reductions, exp/sqrt, sigmoid, indexing, concatenation and segment
 sums. Blocks the model calls many times per step (softmax here; the MLP,
 affine, vector-neuron and RBF layers in :mod:`coarsegen.nn`) are fused: each
 records one node whose hand-written backward replaces a chain of primitive
@@ -115,16 +115,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return as_tensor(other) / self
 
-    def __pow__(self, p):
-        if not np.isscalar(p):
-            raise TypeError("only scalar exponents are supported")
-        out_data = self.data ** p
-
-        def bw(g):
-            return (g * p * self.data ** (p - 1),)
-
-        return Tensor(out_data, _parents=(self,), _backward_fn=bw)
-
     def __matmul__(self, other):
         other = as_tensor(other)
         out_data = np.matmul(self.data, other.data)
@@ -198,10 +188,6 @@ class Tensor:
         out_data = np.exp(self.data)
         return Tensor(out_data, _parents=(self,),
                       _backward_fn=lambda g: (g * out_data,))
-
-    def log(self):
-        return Tensor(np.log(self.data), _parents=(self,),
-                      _backward_fn=lambda g: (g / self.data,))
 
     def sqrt(self):
         out_data = np.sqrt(self.data)

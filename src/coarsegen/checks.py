@@ -48,16 +48,15 @@ class EquivarianceReport:
 
 
 def equivariance_check(seed: int = 0, n_molecules: int = 20,
-                       n_motions: int = 10,
-                       cfg: ModelConfig | None = None) -> EquivarianceReport:
+                       n_motions: int = 10) -> EquivarianceReport:
     """Rotate+translate inputs and compare against the co-rotated baseline.
 
     The sampling noise is co-rotated with the inputs, since a matched-seed
     draw is only equivalent up to the rotation of the isotropic noise. No
-    tape is recorded (:func:`~coarsegen.autodiff.no_grad`).
+    tape is recorded (:func:`~coarsegen.autodiff.no_grad`). The model is a
+    small one (D=8, F=4, two layers) with fresh weights.
     """
-    if cfg is None:
-        cfg = ModelConfig(hidden_dim=8, latent_channels=4, layers=2)
+    cfg = ModelConfig(hidden_dim=8, latent_channels=4, layers=2)
     store = ParameterStore(seed=seed)
     rng = np.random.default_rng(seed)
     corpus = make_corpus(n_molecules, seed + 1)
@@ -115,7 +114,7 @@ def _micro_instance(seed: int) -> ToyMolecule:
     base = np.array([[0.0, 0, 0], [1.5, 0, 0], [2.3, 1.2, 0], [3.8, 1.2, 0.4]])
     gt = base + 0.1 * rng.standard_normal(base.shape)
     ref = base + 0.1 * rng.standard_normal(base.shape)
-    graph = build_graph(atoms, bonds, Conformer(ref), 4.0)
+    graph = build_graph(atoms, bonds, Conformer(ref))
     mapping = coarse_grain(graph, Conformer(ref))
     return ToyMolecule(graph, Conformer(gt), Conformer(ref), [], mapping)
 

@@ -20,9 +20,8 @@ from . import topology
 from .checks import equivariance_check, gradient_check
 from .coarsen import coarse_grain
 from .decoder import generate_ensemble
-from .losses import LossWeights
 from .metrics import budget_sweep, error_histogram, format_report
-from .molio import ParseError, build_graph, parse_sdf, write_sdf_records
+from .molio import AUX_CUTOFF, ParseError, build_graph, parse_sdf, write_sdf_records
 from .nn import ModelConfig
 from .params import ParameterStore
 from .train import PRESETS, RunConfig, resume, train
@@ -72,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coarsen", help="report the bead decomposition of molecules")
     p.add_argument("input", help="SDF file")
-    p.add_argument("--cutoff", type=float, default=4.0)
+    p.add_argument("--cutoff", type=float, default=AUX_CUTOFF)
 
     p = sub.add_parser("train", help="train on the synthetic toy corpus")
     p.add_argument("--config", help="INI file with a [train] section of key = value pairs")
@@ -95,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num", type=int, default=1)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--mode", choices=("ar", "ot"), default="ar")
-    p.add_argument("--cutoff", type=float, default=4.0)
+    p.add_argument("--cutoff", type=float, default=AUX_CUTOFF)
     p.add_argument("--output", default="-", help="output SDF path (default stdout)")
     _add_model_flags(p)
 
@@ -168,7 +167,6 @@ def _cmd_train(args) -> int:
                     latent_channels=args.latent_channels,
                     share_paths=not args.no_share_paths,
                     tie_layers=args.tie_layers,
-                    weights=LossWeights(),
                     checkpoint_dir=args.checkpoint_dir)
     print(f"config_hash={run.config_hash()}")
     if args.resume:
@@ -212,11 +210,31 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _check_same_atoms(path: str, records, want: list[str], first: str) -> None:
+    """Every record must list the atoms ``want`` of ``first`` in its order."""
+    for rec, (graph, _) in enumerate(records):
+        got = [a.element for a in graph.atoms]
+        if len(got) != len(want):
+            problem = f"{len(got)} atoms where {first} has {len(want)}"
+        else:
+            k = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), None)
+            if k is None:
+                continue
+            problem = f"atom {k + 1} is {got[k]} where {first} has {want[k]}"
+        raise SystemExit(f"error: {path}: {problem} (record {rec})")
+
+
 def _cmd_eval(args) -> int:
-    gen = [c.coords for _, c in _parse_sdf_file(args.generated)]
-    truth = [c.coords for _, c in _parse_sdf_file(args.truth)]
-    if not gen or not truth:
+    gen_records = _parse_sdf_file(args.generated)
+    truth_records = _parse_sdf_file(args.truth)
+    if not gen_records or not truth_records:
         raise SystemExit("error: both files must contain at least one record")
+    want = [a.element for a in gen_records[0][0].atoms]
+    first = f"{args.generated} record 0"
+    _check_same_atoms(args.generated, gen_records, want, first)
+    _check_same_atoms(args.truth, truth_records, want, first)
+    gen = [c.coords for _, c in gen_records]
+    truth = [c.coords for _, c in truth_records]
     budgets = [int(b) for b in args.budgets.split(",")] if args.budgets else []
     # one RMSD matrix serves every budget and, as its full prefix, the report
     *sweep, report = budget_sweep(gen, truth, budgets + [len(gen)], args.delta)

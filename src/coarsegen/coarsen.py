@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import pairs_within_cutoff
-from .molio import Conformer, MolecularGraph
+from .molio import AUX_CUTOFF, Conformer, MolecularGraph
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ def coarse_grain(graph: MolecularGraph, conformer: Conformer) -> CGMapping:
 
 
 def build_bead_graph(graph: MolecularGraph, mapping: CGMapping,
-                     cutoff: float = 4.0) -> BeadGraph:
+                     cutoff: float = AUX_CUTOFF) -> BeadGraph:
     """Bead edges from severed bonds, plus auxiliary centroid-distance edges."""
     edges: set[tuple[int, int]] = set()
     for idx in mapping.severed_bonds:

@@ -138,8 +138,7 @@ def _embed(elements, bonds, rng: np.random.Generator) -> np.ndarray:
 
 
 def make_molecule(rng: np.random.Generator, sigma: float = 0.3,
-                  n_truth: int = 5, cutoff: float = 4.0,
-                  torsion_scale: float = 1.0) -> ToyMolecule:
+                  n_truth: int = 5, torsion_scale: float = 1.0) -> ToyMolecule:
     elements, bond_pairs, _ = _build_topology(rng)
     heavy_deg = [0] * len(elements)
     for i, j in bond_pairs:
@@ -166,7 +165,7 @@ def make_molecule(rng: np.random.Generator, sigma: float = 0.3,
     truth = [Conformer(torsion_variant(gt_coords, 0.0)) for _ in range(n_truth)]
 
     ref = Conformer(ref_coords)
-    graph = build_graph(atoms, bonds, ref, cutoff)
+    graph = build_graph(atoms, bonds, ref)
     mapping = coarse_grain(graph, ref)
     return ToyMolecule(graph=graph, gt=Conformer(gt_coords), ref=ref,
                        truth_ensemble=truth, mapping=mapping)

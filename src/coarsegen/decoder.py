@@ -19,7 +19,7 @@ from .coarsen import CGMapping
 from .encoder import center, encode_reference
 from .latent import prior_params, sample
 from .molio import Conformer, MolecularGraph
-from .nn import ModelConfig, affine, attention, mlp, vn_mlp, vn_norms
+from .nn import ETA, ModelConfig, affine, attention, mlp, vn_mlp, vn_norms
 from .params import ParameterStore
 
 
@@ -88,7 +88,7 @@ def _refine(store: ParameterStore, cfg: ModelConfig, x0: Tensor, x_ref: Tensor,
         x = x_ref + segment_sum(diff * (gate / (dist + 1.0)), dst,
                                 s) * Tensor(inv_deg[:, None])
         h_in = concat([h_mix, m_node, u, h0], axis=1)
-        h = (1.0 - cfg.beta_update) * h + cfg.beta_update * mlp(
+        h = (1.0 - ETA) * h + ETA * mlp(
             store, f"dec.{lt}.phi_h", h_in, D, D)
     return x, h
 

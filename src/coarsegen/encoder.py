@@ -20,7 +20,8 @@ from . import topology
 from .autodiff import Tensor, concat, segment_sum
 from .coarsen import CGMapping
 from .molio import MolecularGraph
-from .nn import ModelConfig, affine, attention, mlp, rbf_expand, vn_mlp, vn_norms
+from .nn import (ETA, RBF_CENTERS, RBF_WIDTH, ModelConfig, affine, attention, mlp,
+                 rbf_expand, vn_mlp, vn_norms)
 from .params import ParameterStore
 from .topology import EdgeSet, directed_edges
 
@@ -105,13 +106,13 @@ def fg_layer(store: ParameterStore, cfg: ModelConfig, layer: int,
         # distance-normalized, degree-averaged update keeps deep stacks stable
         coord_sum = segment_sum(diff * (gate / (dist + 1.0)), edges.dst,
                                 n) * Tensor(edges.inv_degree[:, None])
-        x_new = cfg.eta_x * st.x0 + (1.0 - cfg.eta_x) * st.x + coord_sum
+        x_new = ETA * st.x0 + (1.0 - ETA) * st.x + coord_sum
         if path != REF and REF in states:
             u = attention(store, f"enc.fg.{lt}.att", st.h, states[REF].h)
         else:
             u = Tensor(np.zeros((n, D)))
         h_in = concat([st.h, m_node, u, st.f], axis=1)
-        h_new = (1.0 - cfg.eta_h) * st.h + cfg.eta_h * mlp(
+        h_new = (1.0 - ETA) * st.h + ETA * mlp(
             store, f"{pfx}.phi_h", h_in, D, D)
         out[path] = FgState(h=h_new, x=x_new, x0=st.x0, f=st.f)
     return out
@@ -140,10 +141,10 @@ def pool_layer(store: ParameterStore, cfg: ModelConfig, layer: int,
     dist = (d2 + _DIST_EPS).sqrt()
     coord_sum = segment_sum(diff * (gate / (dist + 1.0)), bead_idx,
                             n_beads) * inv_sizes
-    X_new = cfg.eta_pool_x * cg.X0 + (1.0 - cfg.eta_pool_x) * cg.X + coord_sum
+    X_new = ETA * cg.X0 + (1.0 - ETA) * cg.X + coord_sum
 
     h_in = concat([cg.H, m_bead, cg.H0], axis=1)
-    H_new = (1.0 - cfg.eta_pool_h) * cg.H + cfg.eta_pool_h * mlp(
+    H_new = (1.0 - ETA) * cg.H + ETA * mlp(
         store, f"{pfx}.phi_h", h_in, D, D)
     return CgState(H=H_new, X=X_new, X0=cg.X0, H0=cg.H0, v=cg.v)
 
@@ -153,7 +154,6 @@ def cg_layer(store: ParameterStore, cfg: ModelConfig, layer: int,
     """Point-convolution update of bead features and equivariant channels."""
     lt = cfg.layer_tag(layer)
     D, F = cfg.hidden_dim, cfg.latent_channels
-    centers, width = cfg.rbf_centers, cfg.rbf_width
     out: dict[PathKey, CgState] = {}
     aggregates: dict[PathKey, tuple[Tensor, Tensor]] = {}
     n_beads = states[next(iter(states))].H.shape[0]
@@ -173,9 +173,9 @@ def cg_layer(store: ParameterStore, cfg: ModelConfig, layer: int,
         if len(edges.src):
             r = st.X[edges.dst] - st.X[edges.src]
             dist = ((r * r).sum(axis=1) + _DIST_EPS).sqrt()
-            k1 = rbf_expand(store, f"{pfx}.ker1", dist, centers, width, D)
-            k2 = rbf_expand(store, f"{pfx}.ker2", dist, centers, width, F)
-            k3 = rbf_expand(store, f"{pfx}.ker3", dist, centers, width, F)
+            k1 = rbf_expand(store, f"{pfx}.ker1", dist, RBF_CENTERS, RBF_WIDTH, D)
+            k2 = rbf_expand(store, f"{pfx}.ker2", dist, RBF_CENTERS, RBF_WIDTH, F)
+            k3 = rbf_expand(store, f"{pfx}.ker3", dist, RBF_CENTERS, RBF_WIDTH, F)
             e = len(edges.src)
             mh_e = k1 * h1[edges.src]
             mv_e = (k2.reshape(e, F, 1) * v1[edges.src]
@@ -194,9 +194,9 @@ def cg_layer(store: ParameterStore, cfg: ModelConfig, layer: int,
             u = attention(store, f"enc.cg.{lt}.att", st.H, states[REF].H)
         else:
             u = Tensor(np.zeros((n_beads, D)))
-        H_new = (1.0 - cfg.eta_cg_h) * st.H + cfg.eta_cg_h * mlp(
+        H_new = (1.0 - ETA) * st.H + ETA * mlp(
             store, f"{pfx}.upd_h", concat([st.H, mh, u], axis=1), D, D)
-        v_new = (1.0 - cfg.eta_cg_v) * st.v + cfg.eta_cg_v * vn_mlp(
+        v_new = (1.0 - ETA) * st.v + ETA * vn_mlp(
             store, f"{pfx}.vn4", concat([st.v, mv], axis=1), F, F)
         out[path] = CgState(H=H_new, X=st.X, X0=st.X0, H0=st.H0, v=v_new)
     return out

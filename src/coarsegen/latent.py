@@ -15,6 +15,9 @@ from .autodiff import Tensor, concat
 from .nn import ModelConfig, mlp, vn_mlp, vn_norms
 from .params import ParameterStore
 
+# both heads clamp the log variance to [-LOGVAR_BOUND, LOGVAR_BOUND]
+LOGVAR_BOUND = 10.0
+
 
 @dataclass
 class GaussianLatent:
@@ -30,7 +33,7 @@ def posterior_params(store: ParameterStore, cfg: ModelConfig,
     mu = vn_mlp(store, "lat.post.vn", both, F, F)
     norms = concat([vn_norms(z_gt), vn_norms(z_ref)], axis=1)
     log_var = mlp(store, "lat.post.lv", norms, cfg.hidden_dim, F)
-    return GaussianLatent(mu, log_var.clip(cfg.logvar_min, cfg.logvar_max))
+    return GaussianLatent(mu, log_var.clip(-LOGVAR_BOUND, LOGVAR_BOUND))
 
 
 def prior_params(store: ParameterStore, cfg: ModelConfig,
@@ -39,7 +42,7 @@ def prior_params(store: ParameterStore, cfg: ModelConfig,
     F = cfg.latent_channels
     mu = vn_mlp(store, "lat.prior.vn", z_ref, F, F)
     log_var = mlp(store, "lat.prior.lv", vn_norms(z_ref), cfg.hidden_dim, F)
-    return GaussianLatent(mu, log_var.clip(cfg.logvar_min, cfg.logvar_max))
+    return GaussianLatent(mu, log_var.clip(-LOGVAR_BOUND, LOGVAR_BOUND))
 
 
 def sample(g: GaussianLatent, rng: np.random.Generator,

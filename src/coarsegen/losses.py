@@ -21,26 +21,22 @@ from .molio import MolecularGraph
 
 _NORM_EPS = 1e-12
 
+# KL-weight ladder of the elbo-annealed preset: 1e-6 at epoch 0, x10 per
+# epoch, capped at 0.1
+ANNEAL_START = 1e-6
+ANNEAL_FACTOR = 10.0
+ANNEAL_CAP = 1e-1
+
 
 @dataclass
 class LossWeights:
-    beta1: float = 1e-3            # KL weight (fixed value when not annealed)
+    beta1: float = 1e-3            # KL weight (elbo-annealed uses the ladder)
     beta2: float = 0.5             # distance-loss weight
-    anneal_beta1: bool = False
-    anneal_beta2: bool = False
-    anneal_start: float = 1e-6
-    anneal_factor: float = 10.0
-    anneal_cap: float = 1e-1
 
-    def _ladder(self, epoch: int) -> float:
-        return float(min(self.anneal_start * self.anneal_factor ** epoch,
-                         self.anneal_cap))
 
-    def beta1_at(self, epoch: int) -> float:
-        return self._ladder(epoch) if self.anneal_beta1 else self.beta1
-
-    def beta2_at(self, epoch: int) -> float:
-        return self._ladder(epoch) if self.anneal_beta2 else self.beta2
+def annealed_beta1(epoch: int) -> float:
+    """The ladder's KL weight at ``epoch``."""
+    return float(min(ANNEAL_START * ANNEAL_FACTOR ** epoch, ANNEAL_CAP))
 
 
 @dataclass
@@ -83,11 +79,10 @@ def distance_loss(x, x_true, graph: MolecularGraph) -> Tensor:
     return (delta * delta).mean()
 
 
-def elbo_loss(recon: Tensor, kl: Tensor, dist: Tensor, weights: LossWeights,
-              epoch: int) -> tuple[Tensor, dict[str, float]]:
-    """Weighted total loss plus a per-term breakdown for the training log."""
-    b1 = weights.beta1_at(epoch)
-    b2 = weights.beta2_at(epoch)
+def elbo_loss(recon: Tensor, kl: Tensor, dist: Tensor, b1: float,
+              b2: float) -> tuple[Tensor, dict[str, float]]:
+    """Weighted total ``recon + b1 * kl + b2 * dist`` plus a per-term
+    breakdown for the training log."""
     total = recon + b1 * kl + b2 * dist
     breakdown = {
         "recon": float(recon.data),

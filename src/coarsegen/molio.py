@@ -26,6 +26,10 @@ _BOND_CODE_FROM_ORDER = {v: k for k, v in _BOND_ORDER_FROM_CODE.items()}
 # one-hot element + formal charge + heavy degree + aromatic flag
 FEATURE_DIM = len(SUPPORTED_ELEMENTS) + 3
 
+# default distance cutoff (angstrom) of the auxiliary atom edges and of the
+# bead graph's centroid edges
+AUX_CUTOFF = 4.0
+
 
 class ParseError(ValueError):
     """Raised on malformed or unsupported molecular file content."""
@@ -291,7 +295,7 @@ def parse_xyz(text: str | bytes) -> tuple[Conformer, list[str]]:
 
 
 def build_graph(atoms: list[Atom], bonds: list[Bond], ref_conformer: Conformer,
-                cutoff_angstrom: float = 4.0) -> MolecularGraph:
+                cutoff_angstrom: float = AUX_CUTOFF) -> MolecularGraph:
     """Expand a covalent graph with auxiliary edges within the cutoff.
 
     Auxiliary edges connect non-bonded atom pairs whose distance in

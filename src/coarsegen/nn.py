@@ -14,15 +14,25 @@ of the primitive-op chain it replaces, so its values are unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, _sigmoid, _unbroadcast, softmax
-from .molio import FEATURE_DIM
+from .molio import AUX_CUTOFF
 from .params import ParameterStore
 
 _VN_EPS = 1e-12
+
+# weight of every residual mix in the encoder and decoder: features update as
+# (1 - ETA) * h + ETA * mlp(...), coordinates re-anchor as ETA * x0 + (1 - ETA) * x
+ETA = 0.5
+
+# Gaussian radial basis of bead distances: 16 centers on [0, 10] angstrom,
+# width equal to the center spacing
+RBF_CENTERS = np.linspace(0.0, 10.0, 16)
+RBF_CENTERS.setflags(write=False)
+RBF_WIDTH = 10.0 / 15
 
 
 @dataclass
@@ -30,30 +40,9 @@ class ModelConfig:
     hidden_dim: int = 32          # D, invariant feature width
     latent_channels: int = 32     # F, equivariant latent channels
     layers: int = 5               # encoder and decoder message-passing depth
-    n_rbf: int = 16
-    rbf_max: float = 10.0
-    eta_x: float = 0.5
-    eta_h: float = 0.5
-    eta_pool_x: float = 0.5
-    eta_pool_h: float = 0.5
-    eta_cg_h: float = 0.5
-    eta_cg_v: float = 0.5
-    beta_update: float = 0.5      # decoder feature-update weight
     share_paths: bool = True      # tie ground-truth / reference path weights
     tie_layers: bool = False      # tie weights across message-passing layers
-    feat_dim: int = FEATURE_DIM
-    bond_feat_dim: int = 4
-    logvar_min: float = -10.0
-    logvar_max: float = 10.0
-    aux_cutoff: float = 4.0
-
-    @property
-    def rbf_centers(self) -> np.ndarray:
-        return np.linspace(0.0, self.rbf_max, self.n_rbf)
-
-    @property
-    def rbf_width(self) -> float:
-        return self.rbf_max / max(self.n_rbf - 1, 1)
+    aux_cutoff: float = AUX_CUTOFF   # bead-graph centroid cutoff, angstrom
 
     def layer_tag(self, layer: int) -> str:
         return "shared" if self.tie_layers else f"l{layer}"

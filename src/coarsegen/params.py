@@ -16,6 +16,11 @@ from .autodiff import Tensor
 
 MAGIC = b"CGCK0001"
 
+# Adam moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class ParameterStore:
     """Flat, named collection of trainable arrays with gradient slots."""
@@ -26,6 +31,9 @@ class ParameterStore:
         self.rng = np.random.default_rng(seed)
         self.step = 0
         self._loaded = False      # a loaded store creates no new parameters
+        self._adam_m: dict[str, np.ndarray] = {}   # Adam first moments
+        self._adam_v: dict[str, np.ndarray] = {}   # Adam second moments
+        self._adam_t = 0                           # Adam steps taken
 
     def new(self, name: str, shape: tuple, fan_in: int | None = None) -> Tensor:
         """Create (or fetch) a parameter, initialized uniform(+-1/sqrt(fan_in)).
@@ -72,13 +80,8 @@ class ParameterStore:
                 t.data -= lr * t.grad
         self.step += 1
 
-    def adam_step(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                  eps: float = 1e-8) -> None:
+    def adam_step(self, lr: float) -> None:
         """Adam update (optional config extension; SGD remains the default)."""
-        if not hasattr(self, "_adam_m"):
-            self._adam_m: dict[str, np.ndarray] = {}
-            self._adam_v: dict[str, np.ndarray] = {}
-            self._adam_t = 0
         self._adam_t += 1
         t_step = self._adam_t
         for name in self.names():
@@ -87,13 +90,13 @@ class ParameterStore:
                 continue
             m = self._adam_m.setdefault(name, np.zeros_like(p.data))
             v = self._adam_v.setdefault(name, np.zeros_like(p.data))
-            m *= beta1
-            m += (1 - beta1) * p.grad
-            v *= beta2
-            v += (1 - beta2) * p.grad * p.grad
-            m_hat = m / (1 - beta1 ** t_step)
-            v_hat = v / (1 - beta2 ** t_step)
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * p.grad
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * p.grad * p.grad
+            m_hat = m / (1 - ADAM_BETA1 ** t_step)
+            v_hat = v / (1 - ADAM_BETA2 ** t_step)
+            p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         self.step += 1
 
     # -- checkpointing -------------------------------------------------------

@@ -10,7 +10,7 @@ from coarsegen.cli import main
 from coarsegen.coarsen import coarse_grain
 from coarsegen.corpus import make_corpus
 from coarsegen.decoder import generate_ensemble
-from coarsegen.molio import build_graph, parse_sdf, write_sdf_records
+from coarsegen.molio import MolecularGraph, build_graph, parse_sdf, write_sdf_records
 from coarsegen.nn import ModelConfig
 from coarsegen.params import ParameterStore
 
@@ -96,6 +96,34 @@ class TestEval:
         assert [line.split(":")[0] for line in swept[len(plain):]] == [
             "budget 1", "budget 2", "budget 5"]
         assert swept_hist.read_text() == plain_hist.read_text()
+
+    @staticmethod
+    def eval_error(tmp_path, gen_records, truth_records) -> tuple[str, str, str]:
+        gen, truth = tmp_path / "gen.sdf", tmp_path / "truth.sdf"
+        gen.write_bytes(write_sdf_records(gen_records))
+        truth.write_bytes(write_sdf_records(truth_records))
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", str(gen), str(truth)])
+        return str(exc.value), str(gen), str(truth)
+
+    def test_atom_count_mismatch_names_file_and_record(self, tmp_path):
+        a, b = make_corpus(2, 0)            # 31 and 29 atoms
+        msg, gen, truth = self.eval_error(tmp_path, [(a.graph, a.gt)],
+                                          [(a.graph, a.ref), (b.graph, b.ref)])
+        assert msg == (f"error: {truth}: 29 atoms where {gen} record 0 "
+                       f"has 31 (record 1)")
+        msg, gen, _ = self.eval_error(tmp_path, [(a.graph, a.gt), (b.graph, b.gt)],
+                                      [(a.graph, a.ref)])
+        assert msg == f"error: {gen}: 29 atoms where {gen} record 0 has 31 (record 1)"
+
+    def test_element_order_mismatch_names_file_and_record(self, tmp_path):
+        mol = make_corpus(1, 0)[0]
+        atoms = list(mol.graph.atoms)
+        atoms[1], atoms[2] = atoms[2], atoms[1]     # C, O -> O, C
+        swapped = MolecularGraph(atoms, mol.graph.bonds)
+        msg, gen, truth = self.eval_error(tmp_path, [(mol.graph, mol.gt)],
+                                          [(swapped, mol.ref)])
+        assert msg == f"error: {truth}: atom 2 is O where {gen} record 0 has C (record 0)"
 
     def test_histogram_file(self, two_ensembles, tmp_path, capsys):
         gen, truth = two_ensembles

@@ -6,8 +6,8 @@ import pytest
 
 from coarsegen.autodiff import Tensor
 from coarsegen.geometry import random_rotation
-from coarsegen.latent import (GaussianLatent, kl_divergence, posterior_params,
-                              prior_params, sample)
+from coarsegen.latent import (LOGVAR_BOUND, GaussianLatent, kl_divergence,
+                              posterior_params, prior_params, sample)
 from coarsegen.nn import ModelConfig
 from coarsegen.params import ParameterStore
 
@@ -126,8 +126,8 @@ class TestHeads:
     def test_log_var_clamped(self, cfg, store):
         z = Tensor(100.0 * RNG.standard_normal((3, 4, 3)))
         g = posterior_params(store, cfg, z, z)
-        assert g.log_var.data.min() >= cfg.logvar_min - 1e-12
-        assert g.log_var.data.max() <= cfg.logvar_max + 1e-12
+        assert g.log_var.data.min() >= -LOGVAR_BOUND - 1e-12
+        assert g.log_var.data.max() <= LOGVAR_BOUND + 1e-12
 
     def test_heads_equivariant_mean_invariant_variance(self, cfg, store):
         zg = Tensor(RNG.standard_normal((3, 4, 3)))

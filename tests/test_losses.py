@@ -8,10 +8,14 @@ import pytest
 
 from coarsegen.autodiff import Tensor
 from coarsegen.geometry import aligned_rmsd, random_rotation
-from coarsegen.losses import (LossWeights, aligned_mse, distance_loss,
-                              elbo_loss, emd_solve, ot_loss, pairwise_cost)
+from coarsegen.corpus import make_corpus
+from coarsegen.losses import (LossWeights, aligned_mse, annealed_beta1,
+                              distance_loss, elbo_loss, emd_solve, ot_loss,
+                              pairwise_cost)
 from coarsegen.molio import Atom, Bond, MolecularGraph
+from coarsegen.params import ParameterStore
 from coarsegen.topology import hop12_pairs
+from coarsegen.train import RunConfig, molecule_loss
 
 RNG = np.random.default_rng(23)
 
@@ -71,26 +75,29 @@ class TestDistanceLoss:
 
 class TestAnnealing:
     def test_ladder_values(self):
-        w = LossWeights(anneal_beta1=True)
-        got = [w.beta1_at(e) for e in range(8)]
+        got = [annealed_beta1(e) for e in range(8)]
         want = [min(1e-6 * 10.0 ** e, 1e-1) for e in range(8)]
         np.testing.assert_allclose(got, want, rtol=1e-12)
         assert got[6] == 0.1 and got[7] == 0.1   # capped
 
     def test_fixed_when_not_annealed(self):
-        w = LossWeights(beta1=0.02)
-        assert w.beta1_at(0) == w.beta1_at(100) == 0.02
-
-    def test_beta2_ladder_independent(self):
-        w = LossWeights(anneal_beta2=True, beta2=0.5)
-        assert w.beta2_at(3) == 1e-3
-        assert w.beta1_at(3) == w.beta1
+        """Only ``elbo-annealed`` follows the ladder; the other presets weigh
+        the KL term by ``weights.beta1`` at every epoch."""
+        mol = make_corpus(1, 0)[0]
+        for preset in ("elbo-ar", "ot"):
+            run = RunConfig(preset=preset, layers=1, hidden_dim=8,
+                            latent_channels=4, ot_samples=2,
+                            weights=LossWeights(beta1=0.02))
+            store = ParameterStore(seed=0)
+            for epoch in (0, 100):
+                _, info = molecule_loss(store, run.model_config(), mol, run,
+                                        epoch, np.random.default_rng(1))
+                assert info["beta1"] == 0.02
 
 
 class TestElboLoss:
     def test_weighted_sum_and_breakdown(self):
-        w = LossWeights(beta1=0.1, beta2=0.5)
-        total, info = elbo_loss(Tensor(2.0), Tensor(3.0), Tensor(4.0), w, 0)
+        total, info = elbo_loss(Tensor(2.0), Tensor(3.0), Tensor(4.0), 0.1, 0.5)
         np.testing.assert_allclose(total.data, 2.0 + 0.3 + 2.0)
         assert info["recon"] == 2.0 and info["kl"] == 3.0
         assert info["beta1"] == 0.1 and info["beta2"] == 0.5

@@ -6,7 +6,7 @@ import pytest
 
 from coarsegen.autodiff import Tensor
 from coarsegen.geometry import random_rotation
-from coarsegen.nn import (ModelConfig, affine, attention, mlp, rbf_expand,
+from coarsegen.nn import (RBF_CENTERS, RBF_WIDTH, ModelConfig, affine, attention, mlp, rbf_expand,
                           vn_linear, vn_mlp, vn_nonlin, vn_norms)
 from coarsegen.params import ParameterStore
 
@@ -137,9 +137,9 @@ class TestModelConfig:
         assert tied.path_tag(True) == "main"
 
     def test_rbf_grid(self):
-        cfg = ModelConfig(n_rbf=5, rbf_max=8.0)
-        np.testing.assert_allclose(cfg.rbf_centers, np.linspace(0, 8, 5))
-        assert cfg.rbf_width == 2.0
+        """16 centers on [0, 10] angstrom, width equal to their spacing."""
+        np.testing.assert_array_equal(RBF_CENTERS, np.linspace(0.0, 10.0, 16))
+        assert RBF_WIDTH == RBF_CENTERS[1] - RBF_CENTERS[0] == 10.0 / 15
 
 
 @pytest.fixture

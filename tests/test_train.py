@@ -6,7 +6,8 @@ import pytest
 
 from coarsegen.corpus import make_corpus
 from coarsegen.losses import LossWeights
-from coarsegen.train import RunConfig, TrainResult, resume, train
+from coarsegen.params import ParameterStore
+from coarsegen.train import RunConfig, TrainResult, molecule_loss, resume, train
 
 SMALL = dict(epochs=2, lr=1e-3, corpus_size=2, layers=1, hidden_dim=8,
              latent_channels=4)
@@ -22,9 +23,13 @@ class TestRunConfig:
             RunConfig(optimizer="lbfgs")
 
     def test_annealed_preset_enables_ladder(self):
-        run = RunConfig(preset="elbo-annealed")
-        assert run.weights.anneal_beta1
-        assert not RunConfig(preset="elbo-ar").weights.anneal_beta1
+        """The preset alone switches the ladder on, whatever ``beta1`` says."""
+        run = RunConfig(preset="elbo-annealed", weights=LossWeights(beta1=0.02),
+                        layers=1, hidden_dim=8, latent_channels=4)
+        mol = make_corpus(1, 0)[0]
+        _, info = molecule_loss(ParameterStore(seed=0), run.model_config(), mol,
+                                run, 2, np.random.default_rng(1))
+        assert info["beta1"] == pytest.approx(1e-4, rel=1e-12)
 
     def test_lr_schedule(self):
         run = RunConfig(lr=0.1, lr_decay=0.5)
@@ -41,7 +46,6 @@ class TestDeterminism:
     def test_zero_lr_leaves_parameters_untouched(self):
         run = RunConfig(**{**SMALL, "lr": 0.0})
         result = train(run)
-        from coarsegen.params import ParameterStore
         fresh = ParameterStore(seed=run.seed)
         # materialize the same parameter set by replaying one loss
         run2 = RunConfig(**{**SMALL, "lr": 0.0})
@@ -101,7 +105,7 @@ class TestLearning:
     def test_ot_preset_runs_and_logs(self):
         run = RunConfig(preset="ot", epochs=1, lr=1e-3, corpus_size=1,
                         layers=1, hidden_dim=8, latent_channels=4,
-                        ot_samples=2, n_truth=3)
+                        ot_samples=2)
         result = train(run)
         assert all(h["dist"] == 0.0 for h in result.history)
         assert all(np.isfinite(h["recon"]) for h in result.history)
@@ -115,6 +119,17 @@ class TestFailureModes:
         corpus[0].gt.coords[:] = 1e200     # force overflow in the loss
         with pytest.raises((RuntimeError, ValueError)):
             train(run, corpus=corpus)
+
+    def test_one_weights_object_for_annealed_then_fixed_run(self):
+        """An annealed config leaves the caller's weights as they were, so a
+        later ``elbo-ar`` run with the same object keeps its own beta1."""
+        w = LossWeights(beta1=0.02)
+        annealed = train(RunConfig(preset="elbo-annealed", weights=w, **SMALL))
+        fixed = train(RunConfig(preset="elbo-ar", weights=w, **SMALL))
+        assert w == LossWeights(beta1=0.02)
+        np.testing.assert_allclose([h["beta1"] for h in annealed.history],
+                                   [1e-6, 1e-6, 1e-5, 1e-5], rtol=1e-12)
+        assert [h["beta1"] for h in fixed.history] == [0.02] * 4
 
     def test_weights_object_not_shared_across_configs(self):
         a = RunConfig(preset="elbo-annealed")
