@@ -12,7 +12,7 @@ from .coarsen import (CGMapping, build_bead_graph, coarse_grain,
 from .corpus import ToyMolecule, make_corpus
 from .decoder import (channel_selection, decode_ar, decode_ot, generate,
                       generate_ensemble)
-from .encoder import encode, encode_ensemble, encode_reference
+from .encoder import encode, encode_reference
 from .geometry import Alignment, aligned_rmsd, kabsch_align, random_rotation
 from .latent import (GaussianLatent, kl_divergence, posterior_params,
                      prior_params, sample)
@@ -35,7 +35,7 @@ __all__ = [
     "TrainResult", "TransportPlan", "aligned_mse", "aligned_rmsd", "backward",
     "budget_sweep", "build_bead_graph", "build_graph",
     "channel_selection", "coarse_grain", "decode_ar", "decode_ot",
-    "distance_loss", "elbo_loss", "emd_solve", "encode", "encode_ensemble",
+    "distance_loss", "elbo_loss", "emd_solve", "encode",
     "encode_reference", "ensemble_report", "error_histogram",
     "find_rotatable_bonds", "generate", "generate_ensemble",
     "kabsch_align", "kl_divergence", "make_corpus", "order_beads", "ot_loss",

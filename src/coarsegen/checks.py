@@ -37,7 +37,8 @@ class EquivarianceReport:
 
     @property
     def passed(self) -> bool:
-        return (self.latent_max_rel < self.latent_tol
+        return (self.n_cases > 0
+                and self.latent_max_rel < self.latent_tol
                 and self.generate_max_rel < self.generate_tol)
 
     def __str__(self) -> str:

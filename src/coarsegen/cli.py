@@ -47,9 +47,9 @@ def _parse_sdf_file(path: str):
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--hidden-dim", type=int, default=16)
-    p.add_argument("--latent-channels", type=int, default=8)
+    p.add_argument("--layers", type=int, default=ModelConfig.layers)
+    p.add_argument("--hidden-dim", type=int, default=ModelConfig.hidden_dim)
+    p.add_argument("--latent-channels", type=int, default=ModelConfig.latent_channels)
     p.add_argument("--tie-layers", action="store_true")
     p.add_argument("--no-share-paths", action="store_true")
 
@@ -181,6 +181,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    if args.num < 1:
+        raise SystemExit(f"error: --num must be at least 1, got {args.num}")
     records = _parse_sdf_file(args.input)
     if not records:
         raise SystemExit(f"error: {args.input}: no molecule records")

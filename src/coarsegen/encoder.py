@@ -27,10 +27,6 @@ from .topology import EdgeSet, directed_edges
 
 _DIST_EPS = 1e-12
 
-# Path keys: the reference path is REF, ground-truth paths their index 0..K-1.
-REF = "ref"
-PathKey = int | str
-
 
 def center(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Subtract the centroid; returns (centered coordinates, centroid)."""
@@ -80,42 +76,35 @@ def init_cg_state(cfg: ModelConfig, fg: FgState, mapping: CGMapping) -> CgState:
     return CgState(H=H0, X=X0, X0=X0, H0=H0, v=v0)
 
 
-def fg_layer(store: ParameterStore, cfg: ModelConfig, layer: int,
-             states: dict[PathKey, FgState], edges: EdgeSet) -> dict[PathKey, FgState]:
-    """One fine-grained update of every path; attention flows ref -> gt only."""
+def fg_layer(store: ParameterStore, cfg: ModelConfig, layer: int, st: FgState,
+             edges: EdgeSet, ref_path: bool, ref_h: Tensor | None) -> FgState:
+    """One fine-grained update of one path. A ground-truth path attends to
+    ``ref_h``, the reference path's features at this layer's input; the
+    reference path passes None and attends to nothing."""
     lt = cfg.layer_tag(layer)
     D = cfg.hidden_dim
-    out: dict[PathKey, FgState] = {}
-    messages: dict[PathKey, tuple[Tensor, Tensor]] = {}
-    n = states[next(iter(states))].h.shape[0]
+    n = st.h.shape[0]
+    pfx = f"enc.{cfg.path_tag(ref_path)}.fg.{lt}"
+    d2 = _pair_dist2(st.x, edges.src, edges.dst)
+    m_in = concat([st.h[edges.dst], st.h[edges.src], d2, Tensor(edges.feats)], axis=1)
+    m_e = mlp(store, f"{pfx}.phi_e", m_in, D, D)
+    m_node = segment_sum(m_e, edges.dst, n) * Tensor(edges.inv_degree[:, None])
 
-    for path, st in states.items():
-        pfx = f"enc.{cfg.path_tag(path == REF)}.fg.{lt}"
-        d2 = _pair_dist2(st.x, edges.src, edges.dst)
-        m_in = concat([st.h[edges.dst], st.h[edges.src], d2, Tensor(edges.feats)], axis=1)
-        m_e = mlp(store, f"{pfx}.phi_e", m_in, D, D)
-        m_node = segment_sum(m_e, edges.dst, n) * Tensor(edges.inv_degree[:, None])
-        messages[path] = (m_e, m_node)
-
-    for path, st in states.items():
-        pfx = f"enc.{cfg.path_tag(path == REF)}.fg.{lt}"
-        m_e, m_node = messages[path]
-        gate = mlp(store, f"{pfx}.phi_x", m_e, D, 1)
-        diff = st.x[edges.dst] - st.x[edges.src]
-        dist = (_pair_dist2(st.x, edges.src, edges.dst) + _DIST_EPS).sqrt()
-        # distance-normalized, degree-averaged update keeps deep stacks stable
-        coord_sum = segment_sum(diff * (gate / (dist + 1.0)), edges.dst,
-                                n) * Tensor(edges.inv_degree[:, None])
-        x_new = ETA * st.x0 + (1.0 - ETA) * st.x + coord_sum
-        if path != REF and REF in states:
-            u = attention(store, f"enc.fg.{lt}.att", st.h, states[REF].h)
-        else:
-            u = Tensor(np.zeros((n, D)))
-        h_in = concat([st.h, m_node, u, st.f], axis=1)
-        h_new = (1.0 - ETA) * st.h + ETA * mlp(
-            store, f"{pfx}.phi_h", h_in, D, D)
-        out[path] = FgState(h=h_new, x=x_new, x0=st.x0, f=st.f)
-    return out
+    gate = mlp(store, f"{pfx}.phi_x", m_e, D, 1)
+    diff = st.x[edges.dst] - st.x[edges.src]
+    dist = (_pair_dist2(st.x, edges.src, edges.dst) + _DIST_EPS).sqrt()
+    # distance-normalized, degree-averaged update keeps deep stacks stable
+    coord_sum = segment_sum(diff * (gate / (dist + 1.0)), edges.dst,
+                            n) * Tensor(edges.inv_degree[:, None])
+    x_new = ETA * st.x0 + (1.0 - ETA) * st.x + coord_sum
+    if ref_h is None:
+        u = Tensor(np.zeros((n, D)))
+    else:
+        u = attention(store, f"enc.fg.{lt}.att", st.h, ref_h)
+    h_in = concat([st.h, m_node, u, st.f], axis=1)
+    h_new = (1.0 - ETA) * st.h + ETA * mlp(
+        store, f"{pfx}.phi_h", h_in, D, D)
+    return FgState(h=h_new, x=x_new, x0=st.x0, f=st.f)
 
 
 def pool_layer(store: ParameterStore, cfg: ModelConfig, layer: int,
@@ -149,103 +138,82 @@ def pool_layer(store: ParameterStore, cfg: ModelConfig, layer: int,
     return CgState(H=H_new, X=X_new, X0=cg.X0, H0=cg.H0, v=cg.v)
 
 
-def cg_layer(store: ParameterStore, cfg: ModelConfig, layer: int,
-             states: dict[PathKey, CgState], edges: EdgeSet) -> dict[PathKey, CgState]:
-    """Point-convolution update of bead features and equivariant channels."""
+def cg_layer(store: ParameterStore, cfg: ModelConfig, layer: int, st: CgState,
+             edges: EdgeSet, ref_path: bool, ref_H: Tensor | None) -> CgState:
+    """Point-convolution update of one path's bead features and equivariant
+    channels; ``ref_H`` is as ``ref_h`` of :func:`fg_layer`, after pooling."""
     lt = cfg.layer_tag(layer)
     D, F = cfg.hidden_dim, cfg.latent_channels
-    out: dict[PathKey, CgState] = {}
-    aggregates: dict[PathKey, tuple[Tensor, Tensor]] = {}
-    n_beads = states[next(iter(states))].H.shape[0]
+    n_beads = st.H.shape[0]
+    pfx = f"enc.{cfg.path_tag(ref_path)}.cg.{lt}"
+    # equivariant/invariant feature mixing
+    h1 = mlp(store, f"{pfx}.phi1",
+             concat([st.H, vn_norms(vn_mlp(store, f"{pfx}.vn1", st.v, F, F))], axis=1),
+             D, D)
+    h2 = mlp(store, f"{pfx}.phi2",
+             concat([st.H, vn_norms(vn_mlp(store, f"{pfx}.vn2", st.v, F, F))], axis=1),
+             D, F)
+    gate = mlp(store, f"{pfx}.phi3", st.H, D, F)
+    v1 = gate.reshape(n_beads, F, 1) * vn_mlp(store, f"{pfx}.vn3", st.v, F, F)
 
-    for path, st in states.items():
-        pfx = f"enc.{cfg.path_tag(path == REF)}.cg.{lt}"
-        # equivariant/invariant feature mixing
-        h1 = mlp(store, f"{pfx}.phi1",
-                 concat([st.H, vn_norms(vn_mlp(store, f"{pfx}.vn1", st.v, F, F))], axis=1),
-                 D, D)
-        h2 = mlp(store, f"{pfx}.phi2",
-                 concat([st.H, vn_norms(vn_mlp(store, f"{pfx}.vn2", st.v, F, F))], axis=1),
-                 D, F)
-        gate = mlp(store, f"{pfx}.phi3", st.H, D, F)
-        v1 = gate.reshape(n_beads, F, 1) * vn_mlp(store, f"{pfx}.vn3", st.v, F, F)
+    if len(edges.src):
+        r = st.X[edges.dst] - st.X[edges.src]
+        dist = ((r * r).sum(axis=1) + _DIST_EPS).sqrt()
+        k1 = rbf_expand(store, f"{pfx}.ker1", dist, RBF_CENTERS, RBF_WIDTH, D)
+        k2 = rbf_expand(store, f"{pfx}.ker2", dist, RBF_CENTERS, RBF_WIDTH, F)
+        k3 = rbf_expand(store, f"{pfx}.ker3", dist, RBF_CENTERS, RBF_WIDTH, F)
+        e = len(edges.src)
+        mh_e = k1 * h1[edges.src]
+        mv_e = (k2.reshape(e, F, 1) * v1[edges.src]
+                + (k3 * h2[edges.src]).reshape(e, F, 1) * r.reshape(e, 1, 3))
+        mh = segment_sum(mh_e, edges.dst, n_beads)
+        mv = segment_sum(mv_e, edges.dst, n_beads)
+    else:
+        mh = Tensor(np.zeros((n_beads, D)))
+        mv = Tensor(np.zeros((n_beads, F, 3)))
 
-        if len(edges.src):
-            r = st.X[edges.dst] - st.X[edges.src]
-            dist = ((r * r).sum(axis=1) + _DIST_EPS).sqrt()
-            k1 = rbf_expand(store, f"{pfx}.ker1", dist, RBF_CENTERS, RBF_WIDTH, D)
-            k2 = rbf_expand(store, f"{pfx}.ker2", dist, RBF_CENTERS, RBF_WIDTH, F)
-            k3 = rbf_expand(store, f"{pfx}.ker3", dist, RBF_CENTERS, RBF_WIDTH, F)
-            e = len(edges.src)
-            mh_e = k1 * h1[edges.src]
-            mv_e = (k2.reshape(e, F, 1) * v1[edges.src]
-                    + (k3 * h2[edges.src]).reshape(e, F, 1) * r.reshape(e, 1, 3))
-            mh = segment_sum(mh_e, edges.dst, n_beads)
-            mv = segment_sum(mv_e, edges.dst, n_beads)
-        else:
-            mh = Tensor(np.zeros((n_beads, D)))
-            mv = Tensor(np.zeros((n_beads, F, 3)))
-        aggregates[path] = (mh, mv)
-
-    for path, st in states.items():
-        pfx = f"enc.{cfg.path_tag(path == REF)}.cg.{lt}"
-        mh, mv = aggregates[path]
-        if path != REF and REF in states:
-            u = attention(store, f"enc.cg.{lt}.att", st.H, states[REF].H)
-        else:
-            u = Tensor(np.zeros((n_beads, D)))
-        H_new = (1.0 - ETA) * st.H + ETA * mlp(
-            store, f"{pfx}.upd_h", concat([st.H, mh, u], axis=1), D, D)
-        v_new = (1.0 - ETA) * st.v + ETA * vn_mlp(
-            store, f"{pfx}.vn4", concat([st.v, mv], axis=1), F, F)
-        out[path] = CgState(H=H_new, X=st.X, X0=st.X0, H0=st.H0, v=v_new)
-    return out
-
-
-def _encode_paths(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
-                  mapping: CGMapping, gt_list: list[np.ndarray],
-                  ref_coords: np.ndarray) -> tuple[list[Tensor], Tensor]:
-    """Run the stacked fg/pool/cg layers over K ground-truth paths and one
-    reference path; inputs are centered here."""
-    coords: dict[PathKey, np.ndarray] = {k: center(gt)[0] for k, gt in enumerate(gt_list)}
-    coords[REF] = center(ref_coords)[0]
-    edges = directed_edges(graph)
-    fg_states = {p: init_fg_state(store, cfg, graph, c, ref_path=(p == REF))
-                 for p, c in coords.items()}
-    cg_states = {p: init_cg_state(cfg, st, mapping) for p, st in fg_states.items()}
-    bead_edges = topology.bead_edges(graph, mapping, cfg.aux_cutoff)
-
-    for layer in range(cfg.layers):
-        fg_states = fg_layer(store, cfg, layer, fg_states, edges)
-        cg_states = {p: pool_layer(store, cfg, layer, fg_states[p], cg_states[p],
-                                   mapping, ref_path=(p == REF))
-                     for p in fg_states}
-        cg_states = cg_layer(store, cfg, layer, cg_states, bead_edges)
-    return [cg_states[k].v for k in range(len(gt_list))], cg_states[REF].v
-
-
-def encode_ensemble(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
-                    mapping: CGMapping, gt_list: list[np.ndarray],
-                    ref_coords: np.ndarray) -> tuple[list[Tensor], Tensor]:
-    """Encode K ground-truth conformers beside one reference encode.
-
-    Returns the K ground-truth latents and the reference latent; each
-    ground-truth latent equals ``encode(gt, ref)[0]`` bit for bit. Inputs are
-    centered internally.
-    """
-    return _encode_paths(store, cfg, graph, mapping, list(gt_list), ref_coords)
+    if ref_H is None:
+        u = Tensor(np.zeros((n_beads, D)))
+    else:
+        u = attention(store, f"enc.cg.{lt}.att", st.H, ref_H)
+    H_new = (1.0 - ETA) * st.H + ETA * mlp(
+        store, f"{pfx}.upd_h", concat([st.H, mh, u], axis=1), D, D)
+    v_new = (1.0 - ETA) * st.v + ETA * vn_mlp(
+        store, f"{pfx}.vn4", concat([st.v, mv], axis=1), F, F)
+    return CgState(H=H_new, X=st.X, X0=st.X0, H0=st.H0, v=v_new)
 
 
 def encode(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
-           mapping: CGMapping, gt_coords: np.ndarray,
-           ref_coords: np.ndarray) -> tuple[Tensor, Tensor]:
-    """Encode both conformers into latent tensors (Z for ground truth, Z~ for
-    the reference). Inputs are centered internally."""
-    z_gts, z_ref = _encode_paths(store, cfg, graph, mapping, [gt_coords], ref_coords)
-    return z_gts[0], z_ref
+           mapping: CGMapping, gt_list: list[np.ndarray],
+           ref_coords: np.ndarray) -> tuple[list[Tensor], Tensor]:
+    """Encode K >= 0 ground-truth conformers beside one reference conformer.
+
+    Returns the K ground-truth latents (Z) and the reference latent (Z~).
+    Each layer runs the fg, pool and cg updates over the paths, ground truths
+    first and the reference last (the order in which a fresh store draws
+    their weights); a ground-truth path attends to the reference's state at
+    the layer's input. Inputs are centered here.
+    """
+    coords = [center(gt)[0] for gt in gt_list] + [center(ref_coords)[0]]
+    is_ref = [False] * len(gt_list) + [True]
+    edges = directed_edges(graph)
+    fg = [init_fg_state(store, cfg, graph, c, r) for c, r in zip(coords, is_ref)]
+    cg = [init_cg_state(cfg, st, mapping) for st in fg]
+    bead_edges = topology.bead_edges(graph, mapping, cfg.aux_cutoff)
+
+    for layer in range(cfg.layers):
+        ref_h = fg[-1].h
+        fg = [fg_layer(store, cfg, layer, st, edges, r, None if r else ref_h)
+              for st, r in zip(fg, is_ref)]
+        cg = [pool_layer(store, cfg, layer, f, c, mapping, r)
+              for f, c, r in zip(fg, cg, is_ref)]
+        ref_H = cg[-1].H
+        cg = [cg_layer(store, cfg, layer, st, bead_edges, r, None if r else ref_H)
+              for st, r in zip(cg, is_ref)]
+    return [st.v for st in cg[:-1]], cg[-1].v
 
 
 def encode_reference(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
                      mapping: CGMapping, ref_coords: np.ndarray) -> Tensor:
     """Encode only the reference path (used by the learned prior at inference)."""
-    return _encode_paths(store, cfg, graph, mapping, [], ref_coords)[1]
+    return encode(store, cfg, graph, mapping, [], ref_coords)[1]

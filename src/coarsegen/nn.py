@@ -37,9 +37,9 @@ RBF_WIDTH = 10.0 / 15
 
 @dataclass
 class ModelConfig:
-    hidden_dim: int = 32          # D, invariant feature width
-    latent_channels: int = 32     # F, equivariant latent channels
-    layers: int = 5               # encoder and decoder message-passing depth
+    hidden_dim: int = 16          # D, invariant feature width
+    latent_channels: int = 8      # F, equivariant latent channels
+    layers: int = 2               # encoder and decoder message-passing depth
     share_paths: bool = True      # tie ground-truth / reference path weights
     tie_layers: bool = False      # tie weights across message-passing layers
     aux_cutoff: float = AUX_CUTOFF   # bead-graph centroid cutoff, angstrom

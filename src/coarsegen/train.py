@@ -17,7 +17,7 @@ from . import topology
 from .autodiff import Tensor, backward, gc_paused
 from .corpus import ToyMolecule, make_corpus
 from .decoder import decode_ar, decode_ot
-from .encoder import center, encode, encode_ensemble
+from .encoder import center, encode
 from .latent import kl_divergence, posterior_params, prior_params, sample
 from .losses import (LossWeights, aligned_mse, annealed_beta1, distance_loss,
                      elbo_loss, ot_loss)
@@ -42,11 +42,11 @@ class RunConfig:
     sigma: float = 0.3
     ot_samples: int = 3            # generated ensemble size for the OT preset
     optimizer: str = "sgd"         # "sgd" (default) or "adam"
-    layers: int = 2
-    hidden_dim: int = 16
-    latent_channels: int = 8
-    share_paths: bool = True
-    tie_layers: bool = False
+    layers: int = ModelConfig.layers
+    hidden_dim: int = ModelConfig.hidden_dim
+    latent_channels: int = ModelConfig.latent_channels
+    share_paths: bool = ModelConfig.share_paths
+    tie_layers: bool = ModelConfig.tie_layers
     weights: LossWeights = field(default_factory=LossWeights)
     checkpoint_dir: str | None = None
 
@@ -55,6 +55,9 @@ class RunConfig:
             raise ValueError(f"unknown preset {self.preset!r}; choose from {PRESETS}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        for name in ("batch_size", "ot_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(hidden_dim=self.hidden_dim,
@@ -81,52 +84,51 @@ class TrainResult:
 def molecule_loss(store: ParameterStore, cfg: ModelConfig, mol: ToyMolecule,
                   run: RunConfig, epoch: int,
                   rng: np.random.Generator) -> tuple[Tensor, dict[str, float]]:
-    """Differentiable loss for one molecule under the configured preset."""
+    """Differentiable loss for one molecule under the configured preset.
+
+    The ELBO presets reconstruct the ground truth (K = 1) autoregressively
+    under teacher forcing. ``ot`` reconstructs the first K = ``ot_samples``
+    truth conformers in one pass each and matches them to the same K truths
+    by optimal transport, so a perfect reconstruction costs zero."""
     graph, mapping = mol.graph, mol.mapping
+    ot = run.preset == "ot"
     # the preset alone decides whether the KL weight follows the ladder
     b1 = annealed_beta1(epoch) if run.preset == "elbo-annealed" else run.weights.beta1
-    gt_c, _ = center(mol.gt.coords)
     ref_c, _ = center(mol.ref.coords)
+    if ot:
+        truth = [center(t.coords)[0] for t in mol.truth_ensemble[:run.ot_samples]]
+    else:
+        truth = [center(mol.gt.coords)[0]]
+        order = topology.bead_order(graph, mapping, cfg.aux_cutoff)
 
-    if run.preset == "ot":
-        # reconstruct the first K truth conformers through their posteriors;
-        # the transport plan resolves the unordered matching against the same
-        # K truths (square plans can reach zero cost at perfect reconstruction)
-        truth = [center(t.coords)[0] for t in mol.truth_ensemble]
-        k = min(run.ot_samples, len(truth))
-        truth = truth[:k]
-        # one reference encode and one prior serve all K posteriors
-        z_truth, z_ref = encode_ensemble(store, cfg, graph, mapping, truth, ref_c)
-        generated = []
-        kl_total = None
-        prior = None
-        for z_t in z_truth:
-            post = posterior_params(store, cfg, z_t, z_ref)
-            if prior is None:
-                # after the first posterior: a fresh store draws initial
-                # values in creation order, posterior heads first
-                prior = prior_params(store, cfg, z_ref)
-            term = kl_divergence(post, prior)
-            kl_total = term if kl_total is None else kl_total + term
-            z = sample(post, rng)
-            generated.append(decode_ot(store, cfg, z, mapping, ref_c, graph))
-        kl = kl_total * (1.0 / k)
-        recon, _plan = ot_loss(generated, truth, graph)
+    z_truth, z_ref = encode(store, cfg, graph, mapping, truth, ref_c)
+    decoded = []
+    kl = None
+    prior = None
+    for z_t, t in zip(z_truth, truth):
+        post = posterior_params(store, cfg, z_t, z_ref)
+        if prior is None:
+            # after the first posterior: a fresh store draws initial
+            # values in creation order, posterior heads first
+            prior = prior_params(store, cfg, z_ref)
+        term = kl_divergence(post, prior)
+        kl = term if kl is None else kl + term
+        z = sample(post, rng)
+        if ot:
+            decoded.append(decode_ot(store, cfg, z, mapping, ref_c, graph))
+        else:
+            decoded.append(decode_ar(store, cfg, z, mapping, ref_c, graph, order,
+                                     teacher_coords=t))
+
+    if ot:
+        kl = kl * (1.0 / len(truth))
+        recon, _plan = ot_loss(decoded, truth, graph)
         total = recon + b1 * kl
         breakdown = {"recon": float(recon.data), "kl": float(kl.data),
                      "dist": 0.0, "beta1": b1, "beta2": 0.0,
                      "total": float(total.data)}
         return total, breakdown
-
-    z_gt, z_ref = encode(store, cfg, graph, mapping, gt_c, ref_c)
-    post = posterior_params(store, cfg, z_gt, z_ref)
-    prior = prior_params(store, cfg, z_ref)
-    kl = kl_divergence(post, prior)
-
-    order = topology.bead_order(graph, mapping, cfg.aux_cutoff)
-    z = sample(post, rng)
-    coords = decode_ar(store, cfg, z, mapping, ref_c, graph, order,
-                       teacher_coords=gt_c)
+    coords, gt_c = decoded[0], truth[0]
     recon = aligned_mse(coords, gt_c)
     dist = distance_loss(coords, gt_c, graph)
     return elbo_loss(recon, kl, dist, b1, run.weights.beta2)

@@ -225,13 +225,13 @@ class TestAcceptance:
         mol = make_corpus(1, 0)[0]
         gt_c, _ = center(mol.gt.coords)
         ref_c, _ = center(mol.ref.coords)
-        _, z_ref = encode(store, cfg, mol.graph, mol.mapping, gt_c, ref_c)
+        _, z_ref = encode(store, cfg, mol.graph, mol.mapping, [gt_c], ref_c)
         prior = prior_params(store, cfg, z_ref)
         ok = True
         for seed in range(5):
             noise = np.random.default_rng(seed).standard_normal(gt_c.shape)
             _, z2 = encode(store, cfg, mol.graph, mol.mapping,
-                           gt_c + 10.0 * noise, ref_c)
+                           [gt_c + 10.0 * noise], ref_c)
             prior2 = prior_params(store, cfg, z2)
             ok &= np.array_equal(z_ref.data, z2.data)
             ok &= np.array_equal(prior.mu.data, prior2.mu.data)

@@ -6,7 +6,7 @@ import pytest
 
 from coarsegen import nn, topology
 from coarsegen.checks import gradient_check
-from coarsegen.cli import main
+from coarsegen.cli import build_parser, main
 from coarsegen.coarsen import coarse_grain
 from coarsegen.corpus import make_corpus
 from coarsegen.decoder import generate_ensemble
@@ -55,6 +55,26 @@ class TestErrorHandling:
             main(["generate", butane_sdf, "--checkpoint",
                   str(tmp_path / "none.bin")])
         assert "none.bin" in str(exc.value)
+
+
+    @pytest.mark.parametrize("num", ["0", "-1"])
+    def test_generate_num_below_one(self, butane_sdf, tmp_path, num):
+        out = tmp_path / "gen.sdf"
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", butane_sdf, "--num", num, "--output", str(out)])
+        assert "--num" in str(exc.value)
+        assert not out.exists()
+
+    def test_train_batch_size_below_one(self, capsys):
+        assert main(["train", "--batch-size", "-1", "--corpus-size", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "batch_size" in captured.err
+        assert "done" not in captured.out
+
+    def test_model_flag_defaults_come_from_model_config(self):
+        args = build_parser().parse_args(["train"])
+        assert (args.hidden_dim, args.latent_channels, args.layers) == (
+            ModelConfig.hidden_dim, ModelConfig.latent_channels, ModelConfig.layers)
 
 
 class TestCoarsen:
@@ -266,3 +286,8 @@ class TestChecks:
     def test_equivcheck_small_passes(self, capsys):
         assert main(["equivcheck", "--molecules", "2", "--motions", "2"]) == 0
         assert "[PASS]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [["--molecules", "0"], ["--motions", "0"]])
+    def test_equivcheck_without_cases_fails(self, flags, capsys):
+        assert main(["equivcheck"] + flags) == 1
+        assert "[FAIL] cases=0" in capsys.readouterr().out

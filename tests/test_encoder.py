@@ -50,18 +50,18 @@ class TestCenter:
 class TestEquivariance:
     def test_latents_rotate_with_input(self, cfg, store, micro_molecule):
         graph, mapping, gt, ref = micro_molecule
-        z_gt, z_ref = encode(store, cfg, graph, mapping, gt, ref)
+        (z_gt,), z_ref = encode(store, cfg, graph, mapping, [gt], ref)
         for _ in range(5):
             rot = random_rotation(RNG)
-            zg2, zr2 = encode(store, cfg, graph, mapping, gt @ rot.T, ref @ rot.T)
+            (zg2,), zr2 = encode(store, cfg, graph, mapping, [gt @ rot.T], ref @ rot.T)
             np.testing.assert_allclose(zg2.data, z_gt.data @ rot.T, atol=1e-10)
             np.testing.assert_allclose(zr2.data, z_ref.data @ rot.T, atol=1e-10)
 
     def test_translation_invariance(self, cfg, store, micro_molecule):
         graph, mapping, gt, ref = micro_molecule
-        z_gt, z_ref = encode(store, cfg, graph, mapping, gt, ref)
+        (z_gt,), z_ref = encode(store, cfg, graph, mapping, [gt], ref)
         shift = np.array([3.0, -2.0, 7.0])
-        zg2, zr2 = encode(store, cfg, graph, mapping, gt + shift, ref + shift)
+        (zg2,), zr2 = encode(store, cfg, graph, mapping, [gt + shift], ref + shift)
         np.testing.assert_allclose(zg2.data, z_gt.data, atol=1e-10)
         np.testing.assert_allclose(zr2.data, z_ref.data, atol=1e-10)
 
@@ -78,40 +78,40 @@ class TestNoLeak:
         """The approximate-conformer path must be bit-identical no matter what
         the other path sees (this is what makes the learned prior safe)."""
         graph, mapping, gt, ref = micro_molecule
-        _, z_ref_a = encode(store, cfg, graph, mapping, gt, ref)
+        _, z_ref_a = encode(store, cfg, graph, mapping, [gt], ref)
         for seed in range(3):
             noise = np.random.default_rng(seed).standard_normal(gt.shape)
-            _, z_ref_b = encode(store, cfg, graph, mapping, gt + 5.0 * noise, ref)
+            _, z_ref_b = encode(store, cfg, graph, mapping, [gt + 5.0 * noise], ref)
             np.testing.assert_array_equal(z_ref_a.data, z_ref_b.data)
 
     def test_reference_path_matches_reference_only_run(self, cfg, store,
                                                        micro_molecule):
         graph, mapping, gt, ref = micro_molecule
-        _, z_ref = encode(store, cfg, graph, mapping, gt, ref)
+        _, z_ref = encode(store, cfg, graph, mapping, [gt], ref)
         z_solo = encode_reference(store, cfg, graph, mapping, ref)
         np.testing.assert_array_equal(z_ref.data, z_solo.data)
 
     def test_ground_truth_path_does_depend_on_reference(self, cfg, store,
                                                         micro_molecule):
         graph, mapping, gt, ref = micro_molecule
-        z_gt_a, _ = encode(store, cfg, graph, mapping, gt, ref)
-        z_gt_b, _ = encode(store, cfg, graph, mapping, gt,
-                           ref + RNG.standard_normal(ref.shape))
+        (z_gt_a,), _ = encode(store, cfg, graph, mapping, [gt], ref)
+        (z_gt_b,), _ = encode(store, cfg, graph, mapping, [gt],
+                              ref + RNG.standard_normal(ref.shape))
         assert np.abs(z_gt_a.data - z_gt_b.data).max() > 0
 
 
 class TestDeterminismAndShapes:
     def test_shapes(self, cfg, store, micro_molecule):
         graph, mapping, gt, ref = micro_molecule
-        z_gt, z_ref = encode(store, cfg, graph, mapping, gt, ref)
+        (z_gt,), z_ref = encode(store, cfg, graph, mapping, [gt], ref)
         assert z_gt.shape == (mapping.n_beads, cfg.latent_channels, 3)
         assert z_ref.shape == z_gt.shape
 
     def test_bitwise_deterministic(self, cfg, store, micro_molecule):
         graph, mapping, gt, ref = micro_molecule
-        a = encode(store, cfg, graph, mapping, gt, ref)
-        b = encode(store, cfg, graph, mapping, gt, ref)
-        np.testing.assert_array_equal(a[0].data, b[0].data)
+        a = encode(store, cfg, graph, mapping, [gt], ref)
+        b = encode(store, cfg, graph, mapping, [gt], ref)
+        np.testing.assert_array_equal(a[0][0].data, b[0][0].data)
         np.testing.assert_array_equal(a[1].data, b[1].data)
 
     def test_untied_paths_differ(self, micro_molecule):
@@ -119,7 +119,7 @@ class TestDeterminismAndShapes:
         cfg = ModelConfig(hidden_dim=8, latent_channels=4, layers=2,
                           share_paths=False)
         store = ParameterStore(seed=0)
-        z_gt, z_ref = encode(store, cfg, graph, mapping, ref, ref)
+        (z_gt,), z_ref = encode(store, cfg, graph, mapping, [ref], ref)
         # same input conformer, but separate weights per path
         assert np.abs(z_gt.data - z_ref.data).max() > 0
 

@@ -1,13 +1,14 @@
 """Fused tape ops: each forward equals the primitive-op chain it replaces bit
 for bit, each hand-written backward passes a central-difference check with
 respect to the input and every parameter, and each op records one node.
-Also: one ensemble encode equals the per-conformer encodes bit for bit."""
+Also: one K-path encode equals the per-conformer encodes bit for bit and
+creates its parameters in the same order."""
 
 import numpy as np
 import pytest
 
 from coarsegen.autodiff import Tensor, backward, softmax
-from coarsegen.encoder import encode, encode_ensemble, encode_reference
+from coarsegen.encoder import encode, encode_reference
 from coarsegen.nn import _VN_EPS, affine, mlp, rbf_expand, vn_nonlin, vn_norms
 from coarsegen.params import ParameterStore
 from tests.conftest import butane_like
@@ -198,11 +199,30 @@ def test_encode_ensemble_matches_single_encodes(small_cfg):
     rng = np.random.default_rng(SEED)
     gts = [ref + 0.3 * rng.standard_normal(ref.shape) for _ in range(3)]
     store = ParameterStore(seed=SEED)
-    z_gts, z_ref = encode_ensemble(store, small_cfg, graph, mapping, gts, ref)
+    z_gts, z_ref = encode(store, small_cfg, graph, mapping, gts, ref)
     assert len(z_gts) == 3
     solo = encode_reference(store, small_cfg, graph, mapping, ref)
     assert np.array_equal(z_ref.data, solo.data)
     for gt, z in zip(gts, z_gts):
-        z_one, z_ref_one = encode(store, small_cfg, graph, mapping, gt, ref)
+        (z_one,), z_ref_one = encode(store, small_cfg, graph, mapping, [gt], ref)
         assert np.array_equal(z.data, z_one.data)
         assert np.array_equal(z_ref.data, z_ref_one.data)
+
+
+def test_encode_parameter_creation_order(small_cfg):
+    """A fresh store draws its initial values in creation order, so K must not
+    change that order: K = 3 creates the K = 1 names in the same order, and
+    K = 0 creates them without the ground-truth paths' cross attention."""
+    graph, mapping, _, ref = butane_like(seed=5)
+    gts = [ref + 0.1 * k for k in range(3)]
+
+    def created(k):
+        store = ParameterStore(seed=SEED)
+        encode(store, small_cfg, graph, mapping, gts[:k], ref)
+        return list(store.params)      # insertion order is creation order
+
+    one = created(1)
+    assert created(3) == one
+    assert any(".att." in name for name in one)
+    assert created(0) == [name for name in one
+                          if not (name.startswith("enc.") and ".att." in name)]

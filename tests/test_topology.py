@@ -42,7 +42,7 @@ def builds(monkeypatch):
 
 def encode_and_decode(mol, cfg, store):
     gt_c, ref_c = center(mol.gt.coords)[0], center(mol.ref.coords)[0]
-    z, _ = encode(store, cfg, mol.graph, mol.mapping, gt_c, ref_c)
+    (z,), _ = encode(store, cfg, mol.graph, mol.mapping, [gt_c], ref_c)
     order = topology.bead_order(mol.graph, mol.mapping, cfg.aux_cutoff)
     coords = decode_ar(store, cfg, z, mol.mapping, ref_c, mol.graph, order)
     decode_ot(store, cfg, z, mol.mapping, ref_c, mol.graph)

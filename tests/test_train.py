@@ -6,6 +6,7 @@ import pytest
 
 from coarsegen.corpus import make_corpus
 from coarsegen.losses import LossWeights
+from coarsegen.nn import ModelConfig
 from coarsegen.params import ParameterStore
 from coarsegen.train import RunConfig, TrainResult, molecule_loss, resume, train
 
@@ -30,6 +31,20 @@ class TestRunConfig:
         _, info = molecule_loss(ParameterStore(seed=0), run.model_config(), mol,
                                 run, 2, np.random.default_rng(1))
         assert info["beta1"] == pytest.approx(1e-4, rel=1e-12)
+
+    @pytest.mark.parametrize("field,value", [("batch_size", 0), ("batch_size", -1),
+                                             ("ot_samples", 0), ("ot_samples", -2)])
+    def test_counts_below_one_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RunConfig(preset="ot", **{field: value})
+
+    def test_model_size_defaults_come_from_model_config(self):
+        """One set of defaults (D=16, F=8, two layers); the hash of the
+        default run is unchanged by where the defaults live."""
+        assert RunConfig().model_config() == ModelConfig()
+        assert (ModelConfig().hidden_dim, ModelConfig().latent_channels,
+                ModelConfig().layers) == (16, 8, 2)
+        assert RunConfig().config_hash() == "94a7f2e5bfc0"
 
     def test_lr_schedule(self):
         run = RunConfig(lr=0.1, lr_decay=0.5)
