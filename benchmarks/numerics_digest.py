@@ -13,6 +13,10 @@ the lines. Each line digests the raw float64 bytes of:
 - ``generate`` / ``generate-ot``: 40 conformers drawn with
   ``decoder.generate`` in the ``ar`` and in the ``ot`` decode mode;
 - ``rmsd_matrix``: the RMSD matrices of 30 random stack pairs;
+- ``emd``: the plan and value of ``losses.emd_solve`` on 200 random square
+  costs, n = 2 to 6 (training solves K x K costs). Empty plan cells are
+  hashed as +0.0: the sign of a zero weight means nothing, ``ot_loss`` skips
+  zero weights, and the LP solver of older versions returns some as -0.0;
 - ``train``: the checkpoint bytes after 2 epochs of ``ot`` training with Adam;
 - ``gradcheck``: ``max_rel`` of ``checks.gradient_check`` at seeds 0, 1 and 2;
 - ``equivcheck``: both ``max_rel`` values of ``checks.equivariance_check``
@@ -30,7 +34,7 @@ import tempfile
 
 import numpy as np
 
-from coarsegen import autodiff, checks, coarsen, corpus, decoder, kernels
+from coarsegen import autodiff, checks, coarsen, corpus, decoder, kernels, losses
 from coarsegen.params import ParameterStore
 
 train = importlib.import_module("coarsegen.train")   # the package exports a function of that name
@@ -88,6 +92,16 @@ def rmsd_matrices() -> str:
     return digest(chunks)
 
 
+def emd_plans() -> str:
+    rng = np.random.default_rng(9)
+    chunks = []
+    for _ in range(200):
+        n = rng.integers(2, 7)
+        plan, value = losses.emd_solve(rng.uniform(0, 5, size=(n, n)))
+        chunks += [plan.matrix + 0.0, value]    # -0.0 + 0.0 is +0.0
+    return digest(chunks)
+
+
 def checkpoint() -> str:
     with tempfile.TemporaryDirectory() as tmp:
         run = train.RunConfig(preset="ot", epochs=2, lr=1e-2, batch_size=2,
@@ -115,6 +129,7 @@ def main() -> None:
     print(f"generate     {draws(mols, 'ar')}")
     print(f"generate-ot  {draws(mols, 'ot')}")
     print(f"rmsd_matrix  {rmsd_matrices()}")
+    print(f"emd          {emd_plans()}")
     print(f"train        {checkpoint()}")
     print(f"gradcheck    {gradcheck()}")
     print(f"equivcheck   {equivcheck()}")

@@ -331,6 +331,11 @@ def backward(out: Tensor) -> None:
 
     Gradients accumulate into ``.grad`` of every reachable leaf tensor with
     ``requires_grad=True``; repeated calls add up until the grads are reset.
+    Each contribution is added to the leaf's ``.grad`` as it arrives, in
+    the order the reversed DFS reaches the leaf's consumers. After
+    ``.grad = None``, backward calls on graphs that share only leaves
+    therefore give the same left fold, bit for bit, as one call on their
+    sum: the first call's contributions come first, each in its own order.
     """
     if out.data.size != 1:
         raise ValueError("backward requires a scalar output")
@@ -359,6 +364,9 @@ def backward(out: Tensor) -> None:
             continue
         for parent, pg in zip(node._parents, node._backward_fn(g)):
             if pg is None or not parent.requires_grad:
+                continue
+            if parent._backward_fn is None:
+                parent.grad = pg if parent.grad is None else parent.grad + pg
                 continue
             key = id(parent)
             if key in grads:

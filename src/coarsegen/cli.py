@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: coarsen, train, generate, eval, gradcheck, equivcheck.
-Exit codes: 0 success, 1 runtime/input errors (missing files, failed checks),
-2 usage errors (argparse default). The default seed can be set with the
+Exit codes: 0 success, 1 runtime/input errors (missing, unreadable or
+unwritable files, corrupt checkpoints, failed checks), 2 usage errors
+(argparse default). The default seed can be set with the
 ``COARSEGEN_SEED`` environment variable.
 """
 
@@ -138,10 +139,11 @@ def _cmd_coarsen(args) -> int:
 def _apply_config_file(args) -> None:
     if not args.config:
         return
-    if not os.path.exists(args.config):
-        raise SystemExit(f"error: input file not found: {args.config}")
     ini = configparser.ConfigParser()
-    ini.read(args.config)
+    try:
+        ini.read_string(_read_text(args.config), source=args.config)
+    except configparser.Error as exc:
+        raise SystemExit(f"error: {args.config}: {exc}")
     if "train" not in ini:
         raise SystemExit(f"error: {args.config}: missing [train] section")
     casts = {"preset": str, "epochs": int, "lr": float, "batch_size": int,
@@ -286,6 +288,11 @@ def main(argv: list[str] | None = None) -> int:
         raise
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # a file argument that is a directory, unreadable or unwritable
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

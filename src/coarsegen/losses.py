@@ -1,18 +1,19 @@
 """Training objectives: aligned reconstruction, distance auxiliary loss,
 annealed ELBO weighting and the optimal-transport ensemble loss.
 
-The transport plan comes from an exact LP solve (HiGHS) and is treated as a
-constant during backpropagation; gradients flow through the pairwise costs
-only. The Kabsch alignment inside the reconstruction term is likewise held
-fixed, which is exact at the alignment optimum (envelope theorem).
+The transport plan comes from an exact assignment solve (a numpy Hungarian
+method, no LP solver) and is treated as a constant during backpropagation;
+gradients flow through the pairwise costs only. The Kabsch alignment inside
+the reconstruction term is likewise held fixed, which is exact at the
+alignment optimum (envelope theorem).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import topology
 from .autodiff import Tensor, as_tensor
@@ -42,12 +43,6 @@ def annealed_beta1(epoch: int) -> float:
 @dataclass
 class TransportPlan:
     matrix: np.ndarray     # K x L, nonnegative, uniform marginals
-
-    def check_marginals(self, tol: float = 1e-9) -> bool:
-        k, l = self.matrix.shape
-        rows = np.abs(self.matrix.sum(axis=1) - 1.0 / k).max()
-        cols = np.abs(self.matrix.sum(axis=0) - 1.0 / l).max()
-        return bool(rows <= tol and cols <= tol)
 
 
 def aligned_mse(x_model, x_true) -> Tensor:
@@ -95,12 +90,58 @@ def elbo_loss(recon: Tensor, kl: Tensor, dist: Tensor, b1: float,
     return total, breakdown
 
 
+def _assignment(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in a minimum-cost assignment of a square matrix.
+
+    The Hungarian method (Kuhn 1955) in its shortest-augmenting-path form:
+    rows join one at a time, and dual potentials ``u`` (rows) and ``v``
+    (columns) keep every reduced cost nonnegative. Index 0 of ``v``,
+    ``row_of`` and ``way`` is a virtual column holding the row that joins;
+    rows and columns are 1-based in those arrays. O(n^3), one vectorized
+    pass over the columns per augmenting-path step.
+    """
+    n = cost.shape[0]
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    row_of = np.zeros(n + 1, dtype=np.intp)   # 0: column is unassigned
+    way = np.zeros(n + 1, dtype=np.intp)      # previous column on the path
+    for i in range(1, n + 1):
+        row_of[0] = i
+        j0 = 0
+        minv = np.full(n + 1, np.inf)
+        used = np.zeros(n + 1, dtype=bool)
+        while row_of[j0]:
+            used[j0] = True
+            i0 = row_of[j0]
+            cur = np.full(n + 1, np.inf)
+            cur[1:] = cost[i0 - 1] - u[i0] - v[1:]
+            better = ~used & (cur < minv)
+            minv[better] = cur[better]
+            way[better] = j0
+            reach = np.where(used, np.inf, minv)
+            j1 = int(np.argmin(reach))
+            delta = reach[j1]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    cols = np.empty(n, dtype=np.intp)
+    cols[row_of[1:] - 1] = np.arange(n)
+    return cols
+
+
 def emd_solve(cost: np.ndarray) -> tuple[TransportPlan, float]:
     """Exact Earth Mover Distance between uniform marginals.
 
     Minimizes sum(T * cost) over nonnegative T with row sums 1/K and column
-    sums 1/L, via the HiGHS dual-simplex LP solver (vertex solutions, exact
-    to floating-point resolution).
+    sums 1/L. With m = lcm(K, L) that problem has an optimal vertex with
+    entries in multiples of 1/m, so it is solved as an m x m assignment:
+    each row repeated m/K times and each column m/L times. A K x K cost
+    gives a permutation matrix divided by K. The work grows as m^3.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] < 1 or cost.shape[1] < 1:
@@ -108,22 +149,11 @@ def emd_solve(cost: np.ndarray) -> tuple[TransportPlan, float]:
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost entries must be finite")
     k, l = cost.shape
-    if k == 1 and l == 1:
-        return TransportPlan(np.ones((1, 1))), float(cost[0, 0])
-
-    a_eq = np.zeros((k + l, k * l))
-    b_eq = np.zeros(k + l)
-    for r in range(k):
-        a_eq[r, r * l:(r + 1) * l] = 1.0
-        b_eq[r] = 1.0 / k
-    for c in range(l):
-        a_eq[k + c, c::l] = 1.0
-        b_eq[k + c] = 1.0 / l
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs")
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    plan = res.x.reshape(k, l)
+    m = math.lcm(k, l)
+    cols = _assignment(np.repeat(np.repeat(cost, m // k, axis=0), m // l, axis=1))
+    counts = np.zeros((k, l))
+    np.add.at(counts, (np.arange(m) // (m // k), cols // (m // l)), 1.0)
+    plan = counts / m
     return TransportPlan(plan), float(np.sum(plan * cost))
 
 

@@ -8,6 +8,7 @@ little-endian array payloads in manifest order.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -118,19 +119,46 @@ class ParameterStore:
 
     @classmethod
     def load(cls, path) -> "ParameterStore":
+        """Read a checkpoint written by :meth:`save`.
+
+        A truncated or corrupt file raises ``ValueError`` naming ``path``.
+        """
         with open(path, "rb") as fh:
-            magic = fh.read(8)
-            if magic != MAGIC:
-                raise ValueError(f"bad checkpoint magic: {magic!r}")
-            (mlen,) = struct.unpack("<Q", fh.read(8))
-            manifest = json.loads(fh.read(mlen).decode("utf-8"))
-            store = cls(seed=manifest["seed"])
-            store.step = manifest["step"]
-            for entry in manifest["arrays"]:
-                shape = tuple(entry["shape"])
-                count = int(np.prod(shape)) if shape else 1
-                raw = fh.read(count * 8)
-                data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-                store.params[entry["name"]] = Tensor(data, requires_grad=True)
+            blob = memoryview(fh.read())
+        pos = 0
+
+        def take(n: int, what: str) -> memoryview:
+            nonlocal pos
+            if n > len(blob) - pos:
+                raise ValueError(f"{path}: truncated checkpoint: {what} needs "
+                                 f"{n} bytes, {len(blob) - pos} left")
+            pos += n
+            return blob[pos - n:pos]
+
+        magic = bytes(take(len(MAGIC), "header"))
+        if magic != MAGIC:
+            raise ValueError(f"{path}: bad checkpoint magic: {magic!r}")
+        (mlen,) = struct.unpack("<Q", take(8, "header"))
+        raw = take(mlen, "manifest")
+        try:
+            manifest = json.loads(bytes(raw).decode("utf-8"))
+            seed, step = int(manifest["seed"]), int(manifest["step"])
+            entries = [(e["name"], tuple(int(d) for d in e["shape"]))
+                       for e in manifest["arrays"]]
+            if any(d < 0 for _, shape in entries for d in shape):
+                raise ValueError("negative array dimension")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: corrupt checkpoint manifest: "
+                             f"{type(exc).__name__}: {exc}") from None
+        store = cls(seed=seed)
+        store.step = step
+        for name, shape in entries:
+            data = take(8 * math.prod(shape), f"array {name!r}")
+            store.params[name] = Tensor(
+                np.frombuffer(data, dtype="<f8").reshape(shape).copy(),
+                requires_grad=True)
+        if pos != len(blob):
+            raise ValueError(f"{path}: corrupt checkpoint: {len(blob) - pos} "
+                             f"bytes after the last array")
         store._loaded = True
         return store

@@ -145,16 +145,22 @@ def _train_step(store: ParameterStore, cfg: ModelConfig, batch: list[ToyMolecule
                 run: RunConfig, epoch: int, rng: np.random.Generator,
                 lr: float) -> dict[str, float]:
     """Forward, backward and optimizer update on one batch; returns the
-    batch mean of each loss term."""
+    batch mean of each loss term.
+
+    Each molecule's loss is backpropagated, scaled by 1/batch, right after
+    its forward, and its tape is freed before the next molecule's forward,
+    so a step holds one molecule's tape. Molecules share only parameter
+    leaves, and :func:`~coarsegen.autodiff.backward` adds a leaf's
+    contributions as they arrive, so the gradients equal those of one
+    backward of the batch mean bit for bit."""
     store.zero_grad()
-    total = Tensor(0.0)
     agg: dict[str, float] = {}
     for mol in batch:
         loss, breakdown = molecule_loss(store, cfg, mol, run, epoch, rng)
-        total = total + loss
+        backward(loss * (1.0 / len(batch)))
+        del loss
         for k, v in breakdown.items():
             agg[k] = agg.get(k, 0.0) + v / len(batch)
-    backward(total * (1.0 / len(batch)))
     _check_finite(agg, store.step)
     if run.optimizer == "adam":
         store.adam_step(lr)
@@ -191,8 +197,8 @@ def train(run: RunConfig, store: ParameterStore | None = None,
         lr = run.lr_at(epoch)
         for batch_start in range(0, len(corpus), run.batch_size):
             batch = corpus[batch_start:batch_start + run.batch_size]
-            # the step's tape is freed when _train_step returns, so the
-            # collector resumes with nothing new to scan
+            # each molecule's tape is freed by reference counting after its
+            # backward, so the collector has nothing to find in it
             with gc_paused():
                 agg = _train_step(store, cfg, batch, run, epoch, rng, lr)
             agg.update(epoch=epoch, step=store.step, lr=lr)

@@ -161,6 +161,29 @@ class TestEngineSemantics:
         backward(y.sum())
         np.testing.assert_allclose(t.grad, [7.0])
 
+    def test_per_term_backwards_equal_backward_of_sum(self):
+        """After the grads are reset, one backward per term adds a leaf's
+        contributions in the same order as one backward of the terms' sum,
+        so the two grads are equal bit for bit."""
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(6) * 10.0 ** rng.uniform(-3, 3, 6)
+        consts = [[rng.standard_normal(6) * 10.0 ** rng.uniform(-3, 3, 6)
+                   for _ in range(3)] for _ in range(3)]
+
+        def terms(w):
+            # w reaches each term five times: w*a, w*w (twice), w+c, w-c
+            return [(w * a).sum() + (w * w * b).sum() + ((w + c) * (w - c)).sum()
+                    for a, b, c in consts]
+
+        per_term = Tensor(x.copy(), requires_grad=True)
+        per_term.grad = None
+        for t in terms(per_term):
+            backward(t)
+        summed = Tensor(x.copy(), requires_grad=True)
+        t1, t2, t3 = terms(summed)
+        backward(t1 + t2 + t3)
+        assert np.array_equal(per_term.grad, summed.grad)
+
     def test_constants_get_no_grad(self):
         c = Tensor(np.ones(3))
         t = Tensor(np.ones(3), requires_grad=True)

@@ -56,6 +56,35 @@ class TestErrorHandling:
                   str(tmp_path / "none.bin")])
         assert "none.bin" in str(exc.value)
 
+    def test_directory_as_input_exits_1_with_path(self, butane_sdf, tmp_path,
+                                                  capsys):
+        d = str(tmp_path)
+        assert main(["eval", d, d]) == 1
+        assert f"error: {d}: " in capsys.readouterr().err
+        assert main(["generate", butane_sdf, "--checkpoint", d]) == 1
+        assert f"error: {d}: " in capsys.readouterr().err
+
+    def test_truncated_checkpoint_exits_1_with_path(self, butane_sdf, tmp_path,
+                                                    capsys):
+        trunc = tmp_path / "trunc.bin"
+        trunc.write_bytes(b"CGCK0001\x05\x00")
+        assert main(["generate", butane_sdf, "--checkpoint", str(trunc)]) == 1
+        assert f"error: {trunc}: truncated checkpoint" in capsys.readouterr().err
+        assert main(["train", "--resume", str(trunc), "--corpus-size", "1"]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {trunc}: truncated checkpoint" in captured.err
+        assert "done" not in captured.out
+
+    def test_directory_as_output_exits_1_with_path(self, butane_sdf,
+                                                   two_ensembles, tmp_path,
+                                                   capsys):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main(["generate", butane_sdf, "--output", str(out_dir)]) == 1
+        assert f"error: {out_dir}: " in capsys.readouterr().err
+        gen, truth = two_ensembles
+        assert main(["eval", gen, truth, "--histogram", str(out_dir)]) == 1
+        assert f"error: {out_dir}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("num", ["0", "-1"])
     def test_generate_num_below_one(self, butane_sdf, tmp_path, num):
@@ -265,6 +294,16 @@ class TestConfigFile:
         ini.write_text("[model]\nlayers = 1\n")
         with pytest.raises(SystemExit, match="train"):
             main(["train", "--config", str(ini)])
+
+    def test_unreadable_config_exits_1_with_path(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("epochs = 1\n")          # no section header
+        with pytest.raises(SystemExit, match="run.ini: File contains no section"):
+            main(["train", "--config", str(ini)])
+        with pytest.raises(SystemExit, match="input file not found"):
+            main(["train", "--config", str(tmp_path / "none.ini")])
+        assert main(["train", "--config", str(tmp_path)]) == 1
+        assert f"error: {tmp_path}: " in capsys.readouterr().err
 
 
 class TestChecks:

@@ -1,5 +1,8 @@
 """Parameter store: initialization, updates, checkpoint round-trips."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -100,3 +103,45 @@ def test_checkpoint_header(tmp_path, store):
     path = tmp_path / "c.bin"
     store.save(path)
     assert path.read_bytes()[:8] == MAGIC
+
+
+def _checkpoint_bytes(store, tmp_path) -> bytes:
+    """Bytes of a saved two-array checkpoint."""
+    store.new("w", (2, 3))
+    store.new("b", (3,))
+    store.save(tmp_path / "full.bin")
+    return (tmp_path / "full.bin").read_bytes()
+
+
+def _with_manifest(manifest: dict, payload: bytes = b"") -> bytes:
+    blob = json.dumps(manifest).encode()
+    return MAGIC + struct.pack("<Q", len(blob)) + blob + payload
+
+
+@pytest.mark.parametrize("cut", [10, 8 + 4, 8 + 8 + 5, -1])
+def test_truncated_checkpoint_names_path(tmp_path, store, cut):
+    """A file cut short in the header, manifest or payload is a ValueError
+    that names the file, not a struct or reshape error."""
+    path = tmp_path / "trunc.bin"
+    path.write_bytes(_checkpoint_bytes(store, tmp_path)[:cut])
+    with pytest.raises(ValueError, match="trunc.bin: truncated checkpoint"):
+        ParameterStore.load(path)
+
+
+@pytest.mark.parametrize("blob", [
+    MAGIC + struct.pack("<Q", 5) + b"{oops",
+    MAGIC + struct.pack("<Q", 2) + b"\xff\xfe",
+    _with_manifest({"step": 0, "arrays": []}),
+    _with_manifest({"seed": 0, "arrays": []}),
+    _with_manifest({"seed": 0, "step": 0}),
+    _with_manifest({"seed": 0, "step": 0, "arrays": [{"name": "w"}]}),
+    _with_manifest({"seed": 0, "step": 0,
+                    "arrays": [{"name": "w", "shape": [-1]}]}),
+    _with_manifest({"seed": 0, "step": 0, "arrays": []}, b"\0" * 8),
+], ids=["bad-json", "not-utf8", "no-seed", "no-step", "no-arrays",
+        "no-shape", "negative-shape", "trailing-bytes"])
+def test_corrupt_checkpoint_names_path(tmp_path, blob):
+    path = tmp_path / "corrupt.bin"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError, match="corrupt.bin: corrupt checkpoint"):
+        ParameterStore.load(path)

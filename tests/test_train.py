@@ -1,14 +1,21 @@
 """Training loop: determinism, checkpoint/resume replay, loss-decrease sanity,
-configuration validation."""
+configuration validation, the per-molecule backward of a step."""
+
+import importlib
+import weakref
 
 import numpy as np
 import pytest
 
+from coarsegen.autodiff import Tensor, backward
 from coarsegen.corpus import make_corpus
 from coarsegen.losses import LossWeights
 from coarsegen.nn import ModelConfig
 from coarsegen.params import ParameterStore
 from coarsegen.train import RunConfig, TrainResult, molecule_loss, resume, train
+
+# the package exports a function named train, which hides the module
+train_module = importlib.import_module("coarsegen.train")
 
 SMALL = dict(epochs=2, lr=1e-3, corpus_size=2, layers=1, hidden_dim=8,
              latent_channels=4)
@@ -89,6 +96,51 @@ class TestDeterminism:
         for name in full.store.names():
             np.testing.assert_array_equal(full.store[name].data,
                                           resumed.store[name].data)
+
+
+class TestPerMoleculeStep:
+    """A step backpropagates each molecule's loss right after its forward."""
+
+    @pytest.mark.parametrize("preset", ["ot", "elbo-ar"])
+    def test_grads_equal_one_backward_of_batch_sum(self, preset):
+        run = RunConfig(preset=preset, batch_size=3, seed=5)
+        cfg = run.model_config()
+        batch = make_corpus(3, 2)
+        stepped = ParameterStore(seed=5)
+        train_module._train_step(stepped, cfg, batch, run, 1,
+                                 np.random.default_rng(6), 0.0)
+        summed = ParameterStore(seed=5)
+        rng = np.random.default_rng(6)
+        total = Tensor(0.0)
+        for mol in batch:
+            loss, _ = molecule_loss(summed, cfg, mol, run, 1, rng)
+            total = total + loss
+        backward(total * (1.0 / len(batch)))
+        assert stepped.names() == summed.names()
+        reached = 0
+        for name in summed.names():
+            a, b = stepped[name].grad, summed[name].grad
+            assert (a is None) == (b is None), name
+            if b is not None:
+                assert np.array_equal(a, b), name
+                reached += 1
+        assert reached > 0
+
+    def test_previous_tape_freed_before_next_forward(self, monkeypatch):
+        real = train_module.molecule_loss
+        refs = []
+
+        def wrapped(*args, **kwargs):
+            assert all(r() is None for r in refs), "a previous tape is alive"
+            loss, breakdown = real(*args, **kwargs)
+            refs.append(weakref.ref(loss.data))
+            return loss, breakdown
+
+        monkeypatch.setattr(train_module, "molecule_loss", wrapped)
+        train(RunConfig(preset="ot", epochs=1, batch_size=3, corpus_size=3,
+                        ot_samples=2, layers=1, hidden_dim=8,
+                        latent_channels=4))
+        assert len(refs) == 3
 
 
 class TestLearning:
