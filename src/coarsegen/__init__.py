@@ -10,7 +10,7 @@ from .autodiff import Tensor, backward
 from .coarsen import (CGMapping, build_bead_graph, coarse_grain,
                       find_rotatable_bonds, order_beads)
 from .corpus import ToyMolecule, make_corpus
-from .decoder import (channel_selection, decode_ar, decode_ot, generate,
+from .decoder import (channel_selection, decode, decode_blocks, generate,
                       generate_ensemble)
 from .encoder import encode, encode_reference
 from .geometry import Alignment, aligned_rmsd, kabsch_align, random_rotation
@@ -34,7 +34,7 @@ __all__ = [
     "ParameterStore", "ParseError", "RunConfig", "Tensor", "ToyMolecule",
     "TrainResult", "TransportPlan", "aligned_mse", "aligned_rmsd", "backward",
     "budget_sweep", "build_bead_graph", "build_graph",
-    "channel_selection", "coarse_grain", "decode_ar", "decode_ot",
+    "channel_selection", "coarse_grain", "decode", "decode_blocks",
     "distance_loss", "elbo_loss", "emd_solve", "encode",
     "encode_reference", "ensemble_report", "error_histogram",
     "find_rotatable_bonds", "generate", "generate_ensemble",

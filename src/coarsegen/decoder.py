@@ -1,5 +1,6 @@
 """Backmapping decoder: aggregated-attention channel selection followed by
-bead-wise autoregressive (or single-pass) coordinate refinement.
+block-wise coordinate refinement, one block per bead in decode order
+(autoregressive) or one block of every atom (single pass).
 
 Refinement predicts a distortion of the reference conformer: every layer
 re-anchors coordinates at the reference, so zeroed update networks return
@@ -98,71 +99,66 @@ def _decoder_atom_features(store: ParameterStore, cfg: ModelConfig,
     return affine(store, "dec.emb", Tensor(topology.atom_features(graph)), cfg.hidden_dim)
 
 
-def ar_step(store: ParameterStore, cfg: ModelConfig, bead: int, x_cs: Tensor,
-            ref_coords: np.ndarray, graph: MolecularGraph, mapping: CGMapping,
-            h0_all: Tensor, done_atoms: list[int], done_coords: list[Tensor],
-            done_h: list[Tensor],
-            teacher_coords: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-    """Decode one bead, conditioning on all previously generated atoms.
+def decode_blocks(mapping: CGMapping, mode: str,
+                  order: Sequence[int] = ()) -> list[tuple[int, ...]]:
+    """The atom blocks :func:`decode` refines in turn for a decode mode.
 
-    ``done_atoms`` lists those atoms in decode order; ``done_coords`` and
-    ``done_h`` hold their coordinate and feature blocks, one per bead.
-    Returns the bead's coordinates and features, rows in sorted member order.
+    ``ar``: one block per bead in ``order``, which must list every bead
+    exactly once, each block in sorted member order. ``ot``: one block of
+    every atom; ``order`` is not read.
     """
-    members = sorted(mapping.members[bead])
-    x0 = x_cs[np.asarray(members, dtype=np.intp)]
-    x_ref = Tensor(np.asarray(ref_coords)[members])
-    h0 = h0_all[np.asarray(members, dtype=np.intp)]
-    edges = topology.local_edges(graph, members)
-
-    if done_atoms:
-        if teacher_coords is not None:
-            prev_coords = Tensor(np.asarray(teacher_coords)[done_atoms])
-        else:
-            prev_coords = concat(done_coords, axis=0)
-        prev_h = concat(done_h, axis=0)
-    else:
-        prev_coords = None
-        prev_h = None
-    return _refine(store, cfg, x0, x_ref, h0, edges, prev_coords, prev_h)
-
-
-def decode_ar(store: ParameterStore, cfg: ModelConfig, z: Tensor,
-              mapping: CGMapping, ref_coords: np.ndarray, graph: MolecularGraph,
-              order: Sequence[int],
-              teacher_coords: np.ndarray | None = None) -> Tensor:
-    """Autoregressive decoding over the bead order; optional teacher forcing.
-
-    ``order`` must list every bead exactly once.
-    """
+    if mode == "ot":
+        return [tuple(range(len(mapping.assignment)))]
+    if mode != "ar":
+        raise ValueError(f"unknown decode mode {mode!r}")
     if sorted(order) != list(range(mapping.n_beads)):
         raise ValueError(f"bead order {list(order)} is not a permutation of "
                          f"the {mapping.n_beads} beads")
+    return [tuple(sorted(mapping.members[bead])) for bead in order]
+
+
+def decode(store: ParameterStore, cfg: ModelConfig, z: Tensor,
+           mapping: CGMapping, ref_coords: np.ndarray, graph: MolecularGraph,
+           blocks: Sequence[Sequence[int]],
+           teacher_coords: np.ndarray | None = None) -> Tensor:
+    """Backmap ``z`` and refine the atoms block by block.
+
+    ``blocks`` must hold every atom exactly once (see :func:`decode_blocks`).
+    Each block attends to the atoms of the blocks before it: to their
+    decoded coordinates, or to ``teacher_coords`` when given.
+    """
+    atoms = [a for block in blocks for a in block]
+    if sorted(atoms) != list(range(graph.n_atoms)):
+        raise ValueError(f"blocks must hold each of the {graph.n_atoms} atoms "
+                         f"exactly once, got {atoms}")
     x_cs = channel_selection(z, mapping, ref_coords)
     h0_all = _decoder_atom_features(store, cfg, graph)
-    atom_ids: list[int] = []
+    ref_coords = np.asarray(ref_coords)
+    if len(blocks) == 1 and atoms == list(range(graph.n_atoms)):
+        # every atom in atom order: nothing to gather or reorder
+        edges = topology.local_edges(graph, atoms)
+        return _refine(store, cfg, x_cs, Tensor(ref_coords), h0_all, edges,
+                       None, None)[0]
     coord_blocks: list[Tensor] = []
     h_blocks: list[Tensor] = []
-    for bead in order:
-        coords, h = ar_step(store, cfg, bead, x_cs, ref_coords, graph, mapping,
-                            h0_all, atom_ids, coord_blocks, h_blocks, teacher_coords)
-        atom_ids += sorted(mapping.members[bead])
+    done = 0
+    for block in blocks:
+        idx = np.asarray(block, dtype=np.intp)
+        prev_coords = prev_h = None
+        if done:
+            if teacher_coords is not None:
+                prev_coords = Tensor(np.asarray(teacher_coords)[atoms[:done]])
+            else:
+                prev_coords = concat(coord_blocks, axis=0)
+            prev_h = concat(h_blocks, axis=0)
+        coords, h = _refine(store, cfg, x_cs[idx], Tensor(ref_coords[idx]),
+                            h0_all[idx], topology.local_edges(graph, block),
+                            prev_coords, prev_h)
         coord_blocks.append(coords)
         h_blocks.append(h)
-    inverse = np.argsort(np.asarray(atom_ids, dtype=np.intp))
+        done += len(block)
+    inverse = np.argsort(np.asarray(atoms, dtype=np.intp))
     return concat(coord_blocks, axis=0)[inverse]
-
-
-def decode_ot(store: ParameterStore, cfg: ModelConfig, z: Tensor,
-              mapping: CGMapping, ref_coords: np.ndarray,
-              graph: MolecularGraph) -> Tensor:
-    """Single-pass decoding: all atoms at once, no autoregressive context."""
-    x_cs = channel_selection(z, mapping, ref_coords)
-    h0_all = _decoder_atom_features(store, cfg, graph)
-    x_ref = Tensor(np.asarray(ref_coords))
-    edges = topology.local_edges(graph, range(graph.n_atoms))
-    coords, _ = _refine(store, cfg, x_cs, x_ref, h0_all, edges, None, None)
-    return coords
 
 
 def generate_ensemble(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
@@ -177,8 +173,7 @@ def generate_ensemble(store: ParameterStore, cfg: ModelConfig, graph: MolecularG
     calls. ``noise`` (num x beads x channels x 3) overrides the drawn eps.
     The draws record no tape (see :func:`~coarsegen.autodiff.no_grad`).
     """
-    if mode not in ("ar", "ot"):
-        raise ValueError(f"unknown decode mode {mode!r}")
+    blocks = decode_blocks(mapping, mode, order)
     ref_c, centroid = center(np.asarray(ref_coords))
     out = []
     with no_grad():
@@ -186,10 +181,7 @@ def generate_ensemble(store: ParameterStore, cfg: ModelConfig, graph: MolecularG
         prior = prior_params(store, cfg, z_ref)
         for i in range(num):
             z_sample = sample(prior, rng, noise=None if noise is None else noise[i])
-            if mode == "ar":
-                coords = decode_ar(store, cfg, z_sample, mapping, ref_c, graph, order)
-            else:
-                coords = decode_ot(store, cfg, z_sample, mapping, ref_c, graph)
+            coords = decode(store, cfg, z_sample, mapping, ref_c, graph, blocks)
             out.append(Conformer(coords.data + centroid))
     return out
 

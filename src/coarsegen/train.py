@@ -16,7 +16,7 @@ import numpy as np
 from . import topology
 from .autodiff import Tensor, backward, gc_paused
 from .corpus import ToyMolecule, make_corpus
-from .decoder import decode_ar, decode_ot
+from .decoder import decode, decode_blocks
 from .encoder import center, encode
 from .latent import kl_divergence, posterior_params, prior_params, sample
 from .losses import (LossWeights, aligned_mse, annealed_beta1, distance_loss,
@@ -97,9 +97,11 @@ def molecule_loss(store: ParameterStore, cfg: ModelConfig, mol: ToyMolecule,
     ref_c, _ = center(mol.ref.coords)
     if ot:
         truth = [center(t.coords)[0] for t in mol.truth_ensemble[:run.ot_samples]]
+        blocks = decode_blocks(mapping, "ot")
     else:
         truth = [center(mol.gt.coords)[0]]
-        order = topology.bead_order(graph, mapping, cfg.aux_cutoff)
+        blocks = decode_blocks(mapping, "ar",
+                               topology.bead_order(graph, mapping, cfg.aux_cutoff))
 
     z_truth, z_ref = encode(store, cfg, graph, mapping, truth, ref_c)
     decoded = []
@@ -114,11 +116,9 @@ def molecule_loss(store: ParameterStore, cfg: ModelConfig, mol: ToyMolecule,
         term = kl_divergence(post, prior)
         kl = term if kl is None else kl + term
         z = sample(post, rng)
-        if ot:
-            decoded.append(decode_ot(store, cfg, z, mapping, ref_c, graph))
-        else:
-            decoded.append(decode_ar(store, cfg, z, mapping, ref_c, graph, order,
-                                     teacher_coords=t))
+        # the one ot block has no blocks before it, so only ar reads ``t``
+        decoded.append(decode(store, cfg, z, mapping, ref_c, graph, blocks,
+                              teacher_coords=t))
 
     if ot:
         kl = kl * (1.0 / len(truth))

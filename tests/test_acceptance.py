@@ -12,9 +12,9 @@ import time
 import numpy as np
 import pytest
 
+from coarsegen import topology
 from coarsegen.checks import equivariance_check, gradient_check
-from coarsegen.coarsen import (build_bead_graph, coarse_grain,
-                               find_rotatable_bonds, order_beads)
+from coarsegen.coarsen import coarse_grain, find_rotatable_bonds
 from coarsegen.corpus import make_corpus
 from coarsegen.decoder import generate
 from coarsegen.encoder import center, encode, encode_reference
@@ -190,8 +190,7 @@ class TestAcceptance:
         rng = np.random.default_rng(123)
         cfg = run_ar.model_config()
         for mol in corpus:
-            order = order_beads(mol.mapping,
-                                build_bead_graph(mol.graph, mol.mapping, 4.0))
+            order = topology.bead_order(mol.graph, mol.mapping, cfg.aux_cutoff)
             conf = generate(result.store, cfg, mol.graph, mol.mapping,
                             mol.ref.coords, order, rng, mode="ar")
             gen_err.append(aligned_rmsd(conf.coords, mol.gt.coords))

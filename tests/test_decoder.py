@@ -1,16 +1,15 @@
 """Backmapping decoder: reference anchoring, channel selection semantics,
-autoregressive bookkeeping, equivariance of full generation."""
+autoregressive bookkeeping, decode blocks, equivariance of full generation."""
 
 import contextlib
 
 import numpy as np
 import pytest
 
-from coarsegen import decoder
+from coarsegen import decoder, topology
 from coarsegen.autodiff import Tensor, backward
-from coarsegen.coarsen import build_bead_graph, order_beads
 from coarsegen.corpus import ToyMolecule
-from coarsegen.decoder import (channel_selection, decode_ar, decode_ot, generate,
+from coarsegen.decoder import (channel_selection, decode, decode_blocks, generate,
                                generate_ensemble)
 from coarsegen.geometry import random_rotation
 from coarsegen.molio import Conformer
@@ -34,9 +33,9 @@ def store():
 
 
 @pytest.fixture
-def mol():
+def mol(cfg):
     graph, mapping, gt, ref = butane_like()
-    order = order_beads(mapping, build_bead_graph(graph, mapping, 4.0))
+    order = topology.bead_order(graph, mapping, cfg.aux_cutoff)
     return graph, mapping, gt, ref, order
 
 
@@ -93,17 +92,19 @@ class TestReferenceAnchoring:
     def test_zeroed_gates_return_reference_exactly_ar(self, mol, cfg, store):
         graph, mapping, _, ref, order = mol
         z = latent_for(mapping, cfg)
-        decode_ar(store, cfg, z, mapping, ref, graph, order)  # create params
+        blocks = decode_blocks(mapping, "ar", order)
+        decode(store, cfg, z, mapping, ref, graph, blocks)  # create params
         self.zero_update_nets(store, cfg)
-        out = decode_ar(store, cfg, z, mapping, ref, graph, order)
+        out = decode(store, cfg, z, mapping, ref, graph, blocks)
         np.testing.assert_array_equal(out.data, ref)
 
     def test_zeroed_gates_return_reference_exactly_ot(self, mol, cfg, store):
         graph, mapping, _, ref, _ = mol
         z = latent_for(mapping, cfg)
-        decode_ot(store, cfg, z, mapping, ref, graph)
+        blocks = decode_blocks(mapping, "ot")
+        decode(store, cfg, z, mapping, ref, graph, blocks)
         self.zero_update_nets(store, cfg)
-        out = decode_ot(store, cfg, z, mapping, ref, graph)
+        out = decode(store, cfg, z, mapping, ref, graph, blocks)
         np.testing.assert_array_equal(out.data, ref)
 
 
@@ -118,25 +119,26 @@ class TestAutoregressiveBookkeeping:
         returning a conformer with missing or duplicated atoms."""
         graph, mapping, _, ref, order = mol
         bad = make_order(list(order))
-        z = latent_for(mapping, cfg)
         with pytest.raises(ValueError, match="permutation"):
-            decode_ar(store, cfg, z, mapping, ref, graph, bad)
+            decode_blocks(mapping, "ar", bad)
         with pytest.raises(ValueError, match="permutation"):
             generate(store, cfg, graph, mapping, ref, bad, np.random.default_rng(0))
 
     def test_full_pass_covers_all_atoms(self, mol, cfg, store):
         graph, mapping, _, ref, order = mol
         z = latent_for(mapping, cfg)
-        out = decode_ar(store, cfg, z, mapping, ref, graph, order)
+        out = decode(store, cfg, z, mapping, ref, graph,
+                     decode_blocks(mapping, "ar", order))
         assert out.shape == (graph.n_atoms, 3)
         assert np.isfinite(out.data).all()
 
     def test_teacher_forcing_changes_later_beads_only(self, mol, cfg, store):
         graph, mapping, gt, ref, order = mol
         z = latent_for(mapping, cfg)
-        free = decode_ar(store, cfg, z, mapping, ref, graph, order)
-        forced = decode_ar(store, cfg, z, mapping, ref, graph, order,
-                           teacher_coords=gt)
+        blocks = decode_blocks(mapping, "ar", order)
+        free = decode(store, cfg, z, mapping, ref, graph, blocks)
+        forced = decode(store, cfg, z, mapping, ref, graph, blocks,
+                        teacher_coords=gt)
         first = sorted(mapping.members[order[0]])
         np.testing.assert_array_equal(free.data[first], forced.data[first])
 
@@ -144,10 +146,43 @@ class TestAutoregressiveBookkeeping:
 class TestDecodeOt:
     def test_shape_and_finite(self, mol, cfg, store):
         graph, mapping, _, ref, _ = mol
-        out = decode_ot(store, cfg, latent_for(mapping, cfg), mapping, ref,
-                        graph)
+        out = decode(store, cfg, latent_for(mapping, cfg), mapping, ref,
+                     graph, decode_blocks(mapping, "ot"))
         assert out.shape == (graph.n_atoms, 3)
         assert np.isfinite(out.data).all()
+
+
+class TestBlocks:
+    def test_layouts(self, mol):
+        graph, mapping, _, _, order = mol
+        assert decode_blocks(mapping, "ot") == [tuple(range(graph.n_atoms))]
+        assert decode_blocks(mapping, "ar", order) == [
+            tuple(sorted(mapping.members[bead])) for bead in order]
+
+    @pytest.mark.parametrize("make_blocks", [
+        lambda blocks: blocks[:-1],                               # a block left out
+        lambda blocks: [blocks[0][1:], *blocks[1:]],              # an atom left out
+        lambda blocks: blocks + blocks[:1],                       # a block repeated
+        lambda blocks: [blocks[0] + blocks[1][:1], *blocks[1:]],  # an atom repeated
+    ], ids=["block-missing", "atom-missing", "block-repeated", "atom-repeated"])
+    def test_blocks_must_partition_atoms(self, mol, cfg, store, make_blocks):
+        """Blocks that leave an atom out or hold one twice raise instead of
+        returning a conformer with missing or duplicated atoms."""
+        graph, mapping, _, ref, order = mol
+        bad = make_blocks(decode_blocks(mapping, "ar", order))
+        with pytest.raises(ValueError, match="exactly once"):
+            decode(store, cfg, latent_for(mapping, cfg), mapping, ref, graph, bad)
+
+    def test_whole_molecule_block_in_any_order(self, mol, cfg, store):
+        """One block of every atom in another order takes the gathering path
+        and gives the same coordinates as the atom-order block."""
+        graph, mapping, _, ref, _ = mol
+        z = latent_for(mapping, cfg)
+        ordered = decode(store, cfg, z, mapping, ref, graph,
+                         decode_blocks(mapping, "ot"))
+        reversed_ = decode(store, cfg, z, mapping, ref, graph,
+                           [tuple(reversed(range(graph.n_atoms)))])
+        np.testing.assert_allclose(reversed_.data, ordered.data, atol=1e-12)
 
 
 class TestGenerate:

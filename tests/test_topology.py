@@ -11,7 +11,7 @@ from coarsegen import topology
 from coarsegen.autodiff import gc_paused
 from coarsegen.coarsen import build_bead_graph, order_beads
 from coarsegen.corpus import make_corpus
-from coarsegen.decoder import decode_ar, decode_ot, generate_ensemble
+from coarsegen.decoder import decode, decode_blocks, generate_ensemble
 from coarsegen.encoder import center, encode
 from coarsegen.losses import distance_loss
 from coarsegen.molio import MolecularGraph
@@ -44,8 +44,9 @@ def encode_and_decode(mol, cfg, store):
     gt_c, ref_c = center(mol.gt.coords)[0], center(mol.ref.coords)[0]
     (z,), _ = encode(store, cfg, mol.graph, mol.mapping, [gt_c], ref_c)
     order = topology.bead_order(mol.graph, mol.mapping, cfg.aux_cutoff)
-    coords = decode_ar(store, cfg, z, mol.mapping, ref_c, mol.graph, order)
-    decode_ot(store, cfg, z, mol.mapping, ref_c, mol.graph)
+    coords = decode(store, cfg, z, mol.mapping, ref_c, mol.graph,
+                    decode_blocks(mol.mapping, "ar", order))
+    decode(store, cfg, z, mol.mapping, ref_c, mol.graph, decode_blocks(mol.mapping, "ot"))
     distance_loss(coords, gt_c, mol.graph)
 
 

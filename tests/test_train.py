@@ -1,5 +1,6 @@
 """Training loop: determinism, checkpoint/resume replay, loss-decrease sanity,
-configuration validation, the per-molecule backward of a step."""
+configuration validation, the per-molecule backward of a step, the tape-node
+budget of one molecule's loss."""
 
 import importlib
 import weakref
@@ -141,6 +142,50 @@ class TestPerMoleculeStep:
                         ot_samples=2, layers=1, hidden_dim=8,
                         latent_channels=4))
         assert len(refs) == 3
+
+
+class TestNodeBudget:
+    """Tape nodes of ``molecule_loss`` on ``make_corpus(10, 0)`` at epoch 1
+    with the default model, summed over the 10 molecules. Nodes are the cost
+    model: each costs about 30 us per step at this scale, whatever the
+    machine's speed. A change that lowers a count lowers its figure here."""
+
+    # preset: (created, reachable from the loss); per molecule 1,581.6 /
+    # 1,370.6 (ot) and 1,048.5 / 993.5 (elbo-ar)
+    BUDGET = {"ot": (15816, 13706), "elbo-ar": (10485, 9935)}
+
+    @staticmethod
+    def reachable(out: Tensor) -> int:
+        seen, stack, n = set(), [out], 0
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                n += node._backward_fn is not None
+                stack.extend(node._parents)
+        return n
+
+    @pytest.mark.parametrize("preset", ["ot", "elbo-ar"])
+    def test_node_counts_do_not_grow(self, preset, monkeypatch):
+        created = 0
+        init = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            nonlocal created
+            init(self, *args, **kwargs)
+            created += self._backward_fn is not None
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        run = RunConfig(preset=preset)
+        cfg = run.model_config()
+        store = ParameterStore(seed=run.seed)
+        rng = np.random.default_rng(run.seed)
+        reached = 0
+        for mol in make_corpus(10, 0):
+            loss, _ = molecule_loss(store, cfg, mol, run, 1, rng)
+            reached += self.reachable(loss)
+        max_created, max_reached = self.BUDGET[preset]
+        assert created <= max_created and reached <= max_reached, (created, reached)
 
 
 class TestLearning:
