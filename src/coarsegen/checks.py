@@ -128,7 +128,7 @@ def gradient_check(seed: int = 0, h: float = 1e-5, tol: float = 1e-4,
     entries of the ``elbo-ar`` training loss
     (:func:`~coarsegen.train.molecule_loss`) on a randomized micro-instance.
     """
-    cfg = ModelConfig(hidden_dim=8, latent_channels=4, layers=2, tie_layers=True)
+    cfg = ModelConfig(hidden_dim=8, latent_channels=4, layers=2)
     run = RunConfig(preset="elbo-ar", weights=LossWeights(beta1=1e-2, beta2=0.5))
     store = ParameterStore(seed=seed)
     mol = _micro_instance(seed + 7)

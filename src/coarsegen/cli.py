@@ -51,16 +51,12 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--layers", type=int, default=ModelConfig.layers)
     p.add_argument("--hidden-dim", type=int, default=ModelConfig.hidden_dim)
     p.add_argument("--latent-channels", type=int, default=ModelConfig.latent_channels)
-    p.add_argument("--tie-layers", action="store_true")
-    p.add_argument("--no-share-paths", action="store_true")
 
 
 def _model_config(args) -> ModelConfig:
     return ModelConfig(hidden_dim=args.hidden_dim,
                        latent_channels=args.latent_channels,
                        layers=args.layers,
-                       share_paths=not args.no_share_paths,
-                       tie_layers=args.tie_layers,
                        aux_cutoff=args.cutoff)
 
 
@@ -167,8 +163,6 @@ def _cmd_train(args) -> int:
                     sigma=args.sigma, layers=args.layers,
                     hidden_dim=args.hidden_dim,
                     latent_channels=args.latent_channels,
-                    share_paths=not args.no_share_paths,
-                    tie_layers=args.tie_layers,
                     checkpoint_dir=args.checkpoint_dir)
     print(f"config_hash={run.config_hash()}")
     if args.resume:
@@ -229,6 +223,8 @@ def _check_same_atoms(path: str, records, want: list[str], first: str) -> None:
 
 
 def _cmd_eval(args) -> int:
+    if not (np.isfinite(args.delta) and args.delta > 0):
+        raise SystemExit(f"error: --delta must be finite and positive, got {args.delta}")
     gen_records = _parse_sdf_file(args.generated)
     truth_records = _parse_sdf_file(args.truth)
     if not gen_records or not truth_records:

@@ -59,15 +59,15 @@ def _refine(store: ParameterStore, cfg: ModelConfig, x0: Tensor, x_ref: Tensor,
     s = x0.shape[0]
     x, h = x0, h0
     for layer in range(cfg.layers):
-        lt = cfg.layer_tag(layer)
+        pfx = f"dec.l{layer}"
         if prev_coords is not None:
             mu = prev_coords.mean(axis=0, keepdims=True)
         else:
             mu = Tensor(np.zeros((1, 3)))
         dx = (x - mu).reshape(s, 1, 3)
-        dx_inv = vn_norms(vn_mlp(store, f"dec.{lt}.vn_mix", dx, D, D))
+        dx_inv = vn_norms(vn_mlp(store, f"{pfx}.vn_mix", dx, D, D))
         d2mu = ((x - mu) * (x - mu)).sum(axis=1, keepdims=True)
-        h_mix = mlp(store, f"dec.{lt}.phi_m", concat([h, dx_inv, d2mu], axis=1), D, D)
+        h_mix = mlp(store, f"{pfx}.phi_m", concat([h, dx_inv, d2mu], axis=1), D, D)
 
         diff = x[dst] - x[src]
         d2 = (diff * diff).sum(axis=1, keepdims=True)
@@ -76,21 +76,21 @@ def _refine(store: ParameterStore, cfg: ModelConfig, x0: Tensor, x_ref: Tensor,
         dref_i = x[dst] - x_ref[dst]
         d2ref_i = (dref_i * dref_i).sum(axis=1, keepdims=True)
         m_in = concat([h_mix[dst], h_mix[src], d2, d2ref_j, d2ref_i], axis=1)
-        m_e = mlp(store, f"dec.{lt}.phi_e", m_in, D, D)
+        m_e = mlp(store, f"{pfx}.phi_e", m_in, D, D)
         m_node = segment_sum(m_e, dst, s) * Tensor(inv_deg[:, None])
 
         if prev_h is not None:
-            u = attention(store, f"dec.{lt}.att", h_mix, prev_h)
+            u = attention(store, f"{pfx}.att", h_mix, prev_h)
         else:
             u = Tensor(np.zeros((s, D)))
 
-        gate = mlp(store, f"dec.{lt}.phi_x", m_e, D, 1)
+        gate = mlp(store, f"{pfx}.phi_x", m_e, D, 1)
         dist = (d2 + 1e-12).sqrt()
         x = x_ref + segment_sum(diff * (gate / (dist + 1.0)), dst,
                                 s) * Tensor(inv_deg[:, None])
         h_in = concat([h_mix, m_node, u, h0], axis=1)
         h = (1.0 - ETA) * h + ETA * mlp(
-            store, f"dec.{lt}.phi_h", h_in, D, D)
+            store, f"{pfx}.phi_h", h_in, D, D)
     return x, h
 
 

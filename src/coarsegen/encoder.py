@@ -3,9 +3,10 @@
 Each layer stacks a fine-grained message-passing module, an atom-to-bead
 pooling module and a coarse-grained point-convolution module. One reference
 path runs beside K ground-truth paths (K = 1 for one conformer, K = 0 for
-the reference alone); cross attention flows only from the reference path
-into each ground-truth path, so the reference latent never depends on
-ground-truth coordinates and the ground-truth paths never see each other.
+the reference alone), all with the same weights; cross attention flows only
+from the reference path into each ground-truth path, so the reference
+latent never depends on ground-truth coordinates and the ground-truth paths
+never see each other.
 The output per path is an equivariant latent tensor of shape
 (beads, channels, 3).
 """
@@ -58,10 +59,9 @@ def _pair_dist2(x: Tensor, src, dst) -> Tensor:
 
 
 def init_fg_state(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
-                  coords: np.ndarray, ref_path: bool) -> FgState:
-    ptag = cfg.path_tag(ref_path)
+                  coords: np.ndarray) -> FgState:
     feats = Tensor(topology.atom_features(graph))
-    h0 = affine(store, f"enc.{ptag}.emb", feats, cfg.hidden_dim)
+    h0 = affine(store, "enc.main.emb", feats, cfg.hidden_dim)
     x = Tensor(coords)
     return FgState(h=h0, x=x, x0=x, f=h0)
 
@@ -77,14 +77,13 @@ def init_cg_state(cfg: ModelConfig, fg: FgState, mapping: CGMapping) -> CgState:
 
 
 def fg_layer(store: ParameterStore, cfg: ModelConfig, layer: int, st: FgState,
-             edges: EdgeSet, ref_path: bool, ref_h: Tensor | None) -> FgState:
+             edges: EdgeSet, ref_h: Tensor | None) -> FgState:
     """One fine-grained update of one path. A ground-truth path attends to
     ``ref_h``, the reference path's features at this layer's input; the
     reference path passes None and attends to nothing."""
-    lt = cfg.layer_tag(layer)
     D = cfg.hidden_dim
     n = st.h.shape[0]
-    pfx = f"enc.{cfg.path_tag(ref_path)}.fg.{lt}"
+    pfx = f"enc.main.fg.l{layer}"
     d2 = _pair_dist2(st.x, edges.src, edges.dst)
     m_in = concat([st.h[edges.dst], st.h[edges.src], d2, Tensor(edges.feats)], axis=1)
     m_e = mlp(store, f"{pfx}.phi_e", m_in, D, D)
@@ -100,7 +99,7 @@ def fg_layer(store: ParameterStore, cfg: ModelConfig, layer: int, st: FgState,
     if ref_h is None:
         u = Tensor(np.zeros((n, D)))
     else:
-        u = attention(store, f"enc.fg.{lt}.att", st.h, ref_h)
+        u = attention(store, f"enc.fg.l{layer}.att", st.h, ref_h)
     h_in = concat([st.h, m_node, u, st.f], axis=1)
     h_new = (1.0 - ETA) * st.h + ETA * mlp(
         store, f"{pfx}.phi_h", h_in, D, D)
@@ -108,12 +107,10 @@ def fg_layer(store: ParameterStore, cfg: ModelConfig, layer: int, st: FgState,
 
 
 def pool_layer(store: ParameterStore, cfg: ModelConfig, layer: int,
-               fg: FgState, cg: CgState, mapping: CGMapping,
-               ref_path: bool) -> CgState:
+               fg: FgState, cg: CgState, mapping: CGMapping) -> CgState:
     """Pool fine-grained state into beads; the fine state is left unchanged."""
-    lt = cfg.layer_tag(layer)
     D = cfg.hidden_dim
-    pfx = f"enc.{cfg.path_tag(ref_path)}.pool.{lt}"
+    pfx = f"enc.main.pool.l{layer}"
     bead_idx, inv_size = topology.pooling_index(mapping)
     atom_idx = np.arange(len(bead_idx), dtype=np.intp)
     n_beads = mapping.n_beads
@@ -139,13 +136,12 @@ def pool_layer(store: ParameterStore, cfg: ModelConfig, layer: int,
 
 
 def cg_layer(store: ParameterStore, cfg: ModelConfig, layer: int, st: CgState,
-             edges: EdgeSet, ref_path: bool, ref_H: Tensor | None) -> CgState:
+             edges: EdgeSet, ref_H: Tensor | None) -> CgState:
     """Point-convolution update of one path's bead features and equivariant
     channels; ``ref_H`` is as ``ref_h`` of :func:`fg_layer`, after pooling."""
-    lt = cfg.layer_tag(layer)
     D, F = cfg.hidden_dim, cfg.latent_channels
     n_beads = st.H.shape[0]
-    pfx = f"enc.{cfg.path_tag(ref_path)}.cg.{lt}"
+    pfx = f"enc.main.cg.l{layer}"
     # equivariant/invariant feature mixing
     h1 = mlp(store, f"{pfx}.phi1",
              concat([st.H, vn_norms(vn_mlp(store, f"{pfx}.vn1", st.v, F, F))], axis=1),
@@ -175,7 +171,7 @@ def cg_layer(store: ParameterStore, cfg: ModelConfig, layer: int, st: CgState,
     if ref_H is None:
         u = Tensor(np.zeros((n_beads, D)))
     else:
-        u = attention(store, f"enc.cg.{lt}.att", st.H, ref_H)
+        u = attention(store, f"enc.cg.l{layer}.att", st.H, ref_H)
     H_new = (1.0 - ETA) * st.H + ETA * mlp(
         store, f"{pfx}.upd_h", concat([st.H, mh, u], axis=1), D, D)
     v_new = (1.0 - ETA) * st.v + ETA * vn_mlp(
@@ -195,21 +191,19 @@ def encode(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
     the layer's input. Inputs are centered here.
     """
     coords = [center(gt)[0] for gt in gt_list] + [center(ref_coords)[0]]
-    is_ref = [False] * len(gt_list) + [True]
     edges = directed_edges(graph)
-    fg = [init_fg_state(store, cfg, graph, c, r) for c, r in zip(coords, is_ref)]
+    fg = [init_fg_state(store, cfg, graph, c) for c in coords]
     cg = [init_cg_state(cfg, st, mapping) for st in fg]
     bead_edges = topology.bead_edges(graph, mapping, cfg.aux_cutoff)
 
     for layer in range(cfg.layers):
         ref_h = fg[-1].h
-        fg = [fg_layer(store, cfg, layer, st, edges, r, None if r else ref_h)
-              for st, r in zip(fg, is_ref)]
-        cg = [pool_layer(store, cfg, layer, f, c, mapping, r)
-              for f, c, r in zip(fg, cg, is_ref)]
+        fg = [fg_layer(store, cfg, layer, st, edges, ref_h) for st in fg[:-1]] + [
+            fg_layer(store, cfg, layer, fg[-1], edges, None)]
+        cg = [pool_layer(store, cfg, layer, f, c, mapping) for f, c in zip(fg, cg)]
         ref_H = cg[-1].H
-        cg = [cg_layer(store, cfg, layer, st, bead_edges, r, None if r else ref_H)
-              for st, r in zip(cg, is_ref)]
+        cg = [cg_layer(store, cfg, layer, st, bead_edges, ref_H) for st in cg[:-1]] + [
+            cg_layer(store, cfg, layer, cg[-1], bead_edges, None)]
     return [st.v for st in cg[:-1]], cg[-1].v
 
 

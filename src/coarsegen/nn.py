@@ -40,15 +40,14 @@ class ModelConfig:
     hidden_dim: int = 16          # D, invariant feature width
     latent_channels: int = 8      # F, equivariant latent channels
     layers: int = 2               # encoder and decoder message-passing depth
-    share_paths: bool = True      # tie ground-truth / reference path weights
-    tie_layers: bool = False      # tie weights across message-passing layers
     aux_cutoff: float = AUX_CUTOFF   # bead-graph centroid cutoff, angstrom
 
-    def layer_tag(self, layer: int) -> str:
-        return "shared" if self.tie_layers else f"l{layer}"
-
-    def path_tag(self, ref_path: bool) -> str:
-        return "ref" if (ref_path and not self.share_paths) else "main"
+    def __post_init__(self):
+        for name in ("hidden_dim", "latent_channels", "layers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not (np.isfinite(self.aux_cutoff) and self.aux_cutoff >= 0.0):
+            raise ValueError(f"aux_cutoff must be finite and at least 0, got {self.aux_cutoff}")
 
 
 def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -45,8 +45,6 @@ class RunConfig:
     layers: int = ModelConfig.layers
     hidden_dim: int = ModelConfig.hidden_dim
     latent_channels: int = ModelConfig.latent_channels
-    share_paths: bool = ModelConfig.share_paths
-    tie_layers: bool = ModelConfig.tie_layers
     weights: LossWeights = field(default_factory=LossWeights)
     checkpoint_dir: str | None = None
 
@@ -55,16 +53,17 @@ class RunConfig:
             raise ValueError(f"unknown preset {self.preset!r}; choose from {PRESETS}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        for name in ("batch_size", "ot_samples"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        # zero epochs train nothing, as when a finished run is resumed
+        for name, least in (("batch_size", 1), ("ot_samples", 1), ("corpus_size", 1),
+                            ("epochs", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        self.model_config()     # checks the model fields
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(hidden_dim=self.hidden_dim,
                            latent_channels=self.latent_channels,
-                           layers=self.layers,
-                           share_paths=self.share_paths,
-                           tie_layers=self.tie_layers)
+                           layers=self.layers)
 
     def config_hash(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True, default=str).encode()

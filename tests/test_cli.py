@@ -100,6 +100,40 @@ class TestErrorHandling:
         assert "batch_size" in captured.err
         assert "done" not in captured.out
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--layers", "0"], "layers must be at least 1, got 0"),
+        (["--layers", "-1"], "layers must be at least 1, got -1"),
+        (["--hidden-dim", "0"], "hidden_dim must be at least 1, got 0"),
+        (["--latent-channels", "0"], "latent_channels must be at least 1, got 0"),
+        (["--cutoff", "-1"], "aux_cutoff must be finite and at least 0, got -1.0"),
+        (["--cutoff", "nan"], "aux_cutoff must be finite and at least 0, got nan"),
+    ])
+    def test_generate_invalid_model_settings(self, butane_sdf, tmp_path, capsys,
+                                             flags, message):
+        out = tmp_path / "gen.sdf"
+        assert main(["generate", butane_sdf, "--output", str(out)] + flags) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--layers", "0"], "layers must be at least 1, got 0"),
+        (["--hidden-dim", "-2"], "hidden_dim must be at least 1, got -2"),
+        (["--epochs", "-1"], "epochs must be at least 0, got -1"),
+        (["--corpus-size", "0"], "corpus_size must be at least 1, got 0"),
+    ])
+    def test_train_invalid_settings(self, capsys, flags, message):
+        assert main(["train", "--corpus-size", "1"] + flags) == 1
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert "done" not in captured.out
+
+    @pytest.mark.parametrize("argv", [["train", "--tie-layers"],
+                                      ["generate", "x.sdf", "--no-share-paths"]])
+    def test_removed_weight_layout_flags_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_model_flag_defaults_come_from_model_config(self):
         args = build_parser().parse_args(["train"])
         assert (args.hidden_dim, args.latent_channels, args.layers) == (
@@ -120,6 +154,12 @@ class TestEval:
         out = capsys.readouterr().out
         assert "cov_precision 100.00 %" in out
         assert "cov_recall    100.00 %" in out
+
+    @pytest.mark.parametrize("delta", ["nan", "inf", "0", "-0.5"])
+    def test_delta_must_be_finite_and_positive(self, two_ensembles, delta):
+        gen, truth = two_ensembles
+        with pytest.raises(SystemExit, match="--delta must be finite and positive"):
+            main(["eval", gen, truth, "--delta", delta])
 
     def test_budget_sweep_lines(self, two_ensembles, capsys):
         gen, truth = two_ensembles
@@ -288,6 +328,14 @@ class TestConfigFile:
         ini.write_text("[train]\nmomentum = 0.9\n")
         with pytest.raises(SystemExit, match="momentum"):
             main(["train", "--config", str(ini)])
+
+    @pytest.mark.parametrize("key", ["share_paths", "tie_layers"])
+    def test_removed_weight_layout_keys_rejected(self, tmp_path, key):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[train]\n{key} = true\n")
+        with pytest.raises(SystemExit, match=f"unknown key '{key}'") as exc:
+            main(["train", "--config", str(ini)])
+        assert isinstance(exc.value.code, str)   # a message: the process exits 1
 
     def test_missing_section_rejected(self, tmp_path):
         ini = tmp_path / "run.ini"

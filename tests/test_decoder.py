@@ -23,8 +23,7 @@ RNG = np.random.default_rng(11)
 
 @pytest.fixture
 def cfg():
-    return ModelConfig(hidden_dim=8, latent_channels=4, layers=2,
-                       tie_layers=True)
+    return ModelConfig(hidden_dim=8, latent_channels=4, layers=2)
 
 
 @pytest.fixture
@@ -85,7 +84,7 @@ class TestReferenceAnchoring:
     def zero_update_nets(self, store, cfg):
         for suffix in ("w0", "b0", "w1", "b1"):
             for layer in range(cfg.layers):
-                name = f"dec.{cfg.layer_tag(layer)}.phi_x.{suffix}"
+                name = f"dec.l{layer}.phi_x.{suffix}"
                 if name in store.names():
                     store[name].data[:] = 0.0
 
@@ -265,6 +264,11 @@ class TestNoGradSampling:
             loss, _ = molecule_loss(store, cfg, toy, run, 0,
                                     np.random.default_rng(2))
             backward(loss)
-        for name in recorded.names():
-            assert quiet[name].grad is not None
+        # the bead-feature update of the last encoder layer and the last
+        # decoder layer's attention on this two-bead molecule reach no loss,
+        # so their parameters get no gradient in either store
+        trained = [n for n in recorded.names() if recorded[n].grad is not None]
+        assert trained
+        assert trained == [n for n in quiet.names() if quiet[n].grad is not None]
+        for name in trained:
             assert np.array_equal(quiet[name].grad, recorded[name].grad), name

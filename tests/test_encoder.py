@@ -114,15 +114,6 @@ class TestDeterminismAndShapes:
         np.testing.assert_array_equal(a[0][0].data, b[0][0].data)
         np.testing.assert_array_equal(a[1].data, b[1].data)
 
-    def test_untied_paths_differ(self, micro_molecule):
-        graph, mapping, gt, ref = micro_molecule
-        cfg = ModelConfig(hidden_dim=8, latent_channels=4, layers=2,
-                          share_paths=False)
-        store = ParameterStore(seed=0)
-        (z_gt,), z_ref = encode(store, cfg, graph, mapping, [ref], ref)
-        # same input conformer, but separate weights per path
-        assert np.abs(z_gt.data - z_ref.data).max() > 0
-
 
 @pytest.fixture
 def store():

@@ -127,14 +127,20 @@ class TestAttention:
 
 
 class TestModelConfig:
-    def test_layer_and_path_tags(self):
-        cfg = ModelConfig(tie_layers=False, share_paths=False)
-        assert cfg.layer_tag(2) == "l2"
-        assert cfg.path_tag(True) == "ref"
-        assert cfg.path_tag(False) == "main"
-        tied = ModelConfig(tie_layers=True, share_paths=True)
-        assert tied.layer_tag(2) == "shared"
-        assert tied.path_tag(True) == "main"
+    @pytest.mark.parametrize("field,value", [("hidden_dim", 0), ("latent_channels", 0),
+                                             ("layers", 0), ("layers", -1)])
+    def test_sizes_below_one_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be at least 1, got {value}"):
+            ModelConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_cutoff_must_be_finite_and_nonnegative(self, value):
+        with pytest.raises(ValueError, match="aux_cutoff must be finite"):
+            ModelConfig(aux_cutoff=value)
+
+    def test_smallest_valid_model(self):
+        assert ModelConfig(hidden_dim=1, latent_channels=1, layers=1,
+                           aux_cutoff=0.0).layers == 1
 
     def test_rbf_grid(self):
         """16 centers on [0, 10] angstrom, width equal to their spacing."""

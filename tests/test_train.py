@@ -1,15 +1,18 @@
 """Training loop: determinism, checkpoint/resume replay, loss-decrease sanity,
 configuration validation, the per-molecule backward of a step, the tape-node
-budget of one molecule's loss."""
+budget of one molecule's loss, the parameter names a checkpoint holds."""
 
+import hashlib
 import importlib
 import weakref
 
 import numpy as np
 import pytest
 
+from coarsegen import topology
 from coarsegen.autodiff import Tensor, backward
 from coarsegen.corpus import make_corpus
+from coarsegen.decoder import generate
 from coarsegen.losses import LossWeights
 from coarsegen.nn import ModelConfig
 from coarsegen.params import ParameterStore
@@ -41,10 +44,16 @@ class TestRunConfig:
         assert info["beta1"] == pytest.approx(1e-4, rel=1e-12)
 
     @pytest.mark.parametrize("field,value", [("batch_size", 0), ("batch_size", -1),
-                                             ("ot_samples", 0), ("ot_samples", -2)])
+                                             ("ot_samples", 0), ("ot_samples", -2),
+                                             ("corpus_size", 0), ("corpus_size", -1)])
     def test_counts_below_one_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             RunConfig(preset="ot", **{field: value})
+
+    def test_epochs_may_be_zero_but_not_negative(self):
+        assert RunConfig(epochs=0).epochs == 0
+        with pytest.raises(ValueError, match="epochs must be at least 0, got -1"):
+            RunConfig(epochs=-1)
 
     def test_model_size_defaults_come_from_model_config(self):
         """One set of defaults (D=16, F=8, two layers); the hash of the
@@ -52,7 +61,7 @@ class TestRunConfig:
         assert RunConfig().model_config() == ModelConfig()
         assert (ModelConfig().hidden_dim, ModelConfig().latent_channels,
                 ModelConfig().layers) == (16, 8, 2)
-        assert RunConfig().config_hash() == "94a7f2e5bfc0"
+        assert RunConfig().config_hash() == "9870929e3984"
 
     def test_lr_schedule(self):
         run = RunConfig(lr=0.1, lr_decay=0.5)
@@ -186,6 +195,41 @@ class TestNodeBudget:
             reached += self.reachable(loss)
         max_created, max_reached = self.BUDGET[preset]
         assert created <= max_created and reached <= max_reached, (created, reached)
+
+
+class TestParameterNamespace:
+    """The names and shapes of the default model's parameters. A checkpoint
+    loads only into a model that asks for the names it holds, so a rename
+    here breaks every saved checkpoint. Each case gives the array count, the
+    value count and the first 16 hex digits of the SHA-256 of the sorted
+    ``name:shape`` lines."""
+
+    @staticmethod
+    def summary(store: ParameterStore) -> tuple[int, int, str]:
+        lines = "\n".join(f"{n}:{store[n].data.shape}" for n in store.names())
+        return (len(store.names()), sum(t.data.size for t in store.params.values()),
+                hashlib.sha256(lines.encode()).hexdigest()[:16])
+
+    @pytest.mark.parametrize("preset,want", [
+        ("elbo-ar", (202, 31382, "44d0b7256249cfa4")),
+        ("ot", (192, 29782, "8fa4a0ba0f9c0d22")),
+    ])
+    def test_training_namespace(self, preset, want):
+        store = ParameterStore(seed=3)
+        run = RunConfig(preset, seed=3)
+        rng = np.random.default_rng(4)
+        for mol in make_corpus(10, 0):
+            molecule_loss(store, run.model_config(), mol, run, 1, rng)
+        assert self.summary(store) == want
+
+    def test_generate_namespace(self):
+        mol = make_corpus(1, 0)[0]
+        cfg = ModelConfig()
+        store = ParameterStore(seed=0)
+        generate(store, cfg, mol.graph, mol.mapping, mol.ref.coords,
+                 topology.bead_order(mol.graph, mol.mapping, cfg.aux_cutoff),
+                 np.random.default_rng(0))
+        assert self.summary(store) == (175, 27518, "ab6f1e02eedf7a7f")
 
 
 class TestLearning:
