@@ -9,7 +9,9 @@ the lines. Each line digests the raw float64 bytes of:
 - ``ot`` / ``elbo-ar`` / ``elbo-annealed``: the loss of each of 10 toy
   molecules at epoch 1 from a fresh parameter store, and every parameter
   gradient after its backward (at epoch 1 the annealed KL weight is the
-  ladder's second rung, 1e-5);
+  ladder's second rung, 1e-5); ``ot`` reads K = 3 of each molecule's 5
+  truth conformers;
+- ``ot-k5``: as ``ot`` with K = 5, every truth conformer;
 - ``generate`` / ``generate-ot``: 40 conformers drawn with
   ``decoder.generate`` in the ``ar`` and in the ``ot`` decode mode;
 - ``rmsd_matrix``: the RMSD matrices of 30 random stack pairs;
@@ -49,8 +51,8 @@ def digest(chunks) -> str:
     return h.hexdigest()[:16]
 
 
-def loss_and_grads(preset: str, mols) -> str:
-    run = train.RunConfig(preset=preset, seed=3, ot_samples=3)
+def loss_and_grads(preset: str, mols, ot_samples: int = 3) -> str:
+    run = train.RunConfig(preset=preset, seed=3, ot_samples=ot_samples)
     cfg = run.model_config()
     store = ParameterStore(seed=3)
     rng = np.random.default_rng(4)
@@ -124,6 +126,7 @@ def equivcheck() -> str:
 def main() -> None:
     mols = corpus.make_corpus(N_MOLECULES, 11, n_truth=5)
     print(f"ot           {loss_and_grads('ot', mols)}")
+    print(f"ot-k5        {loss_and_grads('ot', mols, ot_samples=5)}")
     print(f"elbo-ar      {loss_and_grads('elbo-ar', mols)}")
     print(f"elbo-annealed {loss_and_grads('elbo-annealed', mols)}")
     print(f"generate     {draws(mols, 'ar')}")

@@ -5,8 +5,10 @@ produced it. Calling :func:`backward` on a scalar output accumulates
 gradients into every reachable leaf with ``requires_grad=True``.
 
 The primitive ops are affine arithmetic, matmul (with numpy broadcasting),
-reductions, exp/sqrt, sigmoid, indexing, concatenation and segment
-sums. Blocks the model calls many times per step (softmax here; the MLP,
+reductions, exp/sqrt, sigmoid, indexing, gathers, concatenation, stacking
+and segment sums. Gathers and segment sums work along any axis, so they
+serve path-stacked arrays (see :mod:`coarsegen.nn`), and :func:`unstack`
+splits such an array into its paths. Blocks the model calls many times per step (softmax here; the MLP,
 affine, vector-neuron and RBF layers in :mod:`coarsegen.nn`) are fused: each
 records one node whose hand-written backward replaces a chain of primitive
 nodes, and whose forward runs the same numpy operations in the same order
@@ -65,8 +67,8 @@ class Tensor:
         out_data = self.data + other.data
 
         def bw(g):
-            return (_unbroadcast(g, self.data.shape),
-                    _unbroadcast(g, other.data.shape))
+            return (_unbroadcast(g, self.data.shape) if self.requires_grad else None,
+                    _unbroadcast(g, other.data.shape) if other.requires_grad else None)
 
         return Tensor(out_data, _parents=(self, other), _backward_fn=bw)
 
@@ -81,8 +83,8 @@ class Tensor:
         out_data = self.data - other.data
 
         def bw(g):
-            return (_unbroadcast(g, self.data.shape),
-                    -_unbroadcast(g, other.data.shape))
+            return (_unbroadcast(g, self.data.shape) if self.requires_grad else None,
+                    -_unbroadcast(g, other.data.shape) if other.requires_grad else None)
 
         return Tensor(out_data, _parents=(self, other), _backward_fn=bw)
 
@@ -94,8 +96,10 @@ class Tensor:
         out_data = self.data * other.data
 
         def bw(g):
-            return (_unbroadcast(g * other.data, self.data.shape),
-                    _unbroadcast(g * self.data, other.data.shape))
+            return (_unbroadcast(g * other.data, self.data.shape)
+                    if self.requires_grad else None,
+                    _unbroadcast(g * self.data, other.data.shape)
+                    if other.requires_grad else None)
 
         return Tensor(out_data, _parents=(self, other), _backward_fn=bw)
 
@@ -106,8 +110,10 @@ class Tensor:
         out_data = self.data / other.data
 
         def bw(g):
-            ga = _unbroadcast(g / other.data, self.data.shape)
-            gb = _unbroadcast(-g * self.data / other.data ** 2, other.data.shape)
+            ga = (_unbroadcast(g / other.data, self.data.shape)
+                  if self.requires_grad else None)
+            gb = (_unbroadcast(-g * self.data / other.data ** 2, other.data.shape)
+                  if other.requires_grad else None)
             return ga, gb
 
         return Tensor(out_data, _parents=(self, other), _backward_fn=bw)
@@ -120,10 +126,10 @@ class Tensor:
         out_data = np.matmul(self.data, other.data)
 
         def bw(g):
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(other.data, -1, -2)),
-                              self.data.shape)
-            gb = _unbroadcast(np.matmul(np.swapaxes(self.data, -1, -2), g),
-                              other.data.shape)
+            ga = (_unbroadcast(np.matmul(g, np.swapaxes(other.data, -1, -2)),
+                               self.data.shape) if self.requires_grad else None)
+            gb = (_unbroadcast(np.matmul(np.swapaxes(self.data, -1, -2), g),
+                               other.data.shape) if other.requires_grad else None)
             return ga, gb
 
         return Tensor(out_data, _parents=(self, other), _backward_fn=bw)
@@ -148,20 +154,17 @@ class Tensor:
         return self.swapaxes(0, 1)
 
     def __getitem__(self, idx):
-        out_data = self.data[idx]
-        src_shape = self.data.shape
         if (isinstance(idx, np.ndarray) and idx.ndim == 1
                 and idx.dtype.kind in "iu"):
-            def bw(g):
-                # a row index may be negative; bincount wants it in range
-                return (_scatter_rows(g, idx % src_shape[0], src_shape[0]),)
-        else:
-            def bw(g):
-                acc = np.zeros(src_shape)
-                np.add.at(acc, idx, g)
-                return (acc,)
+            return take(self, idx)
+        src_shape = self.data.shape
 
-        return Tensor(out_data, _parents=(self,), _backward_fn=bw)
+        def bw(g):
+            acc = np.zeros(src_shape)
+            np.add.at(acc, idx, g)
+            return (acc,)
+
+        return Tensor(self.data[idx], _parents=(self,), _backward_fn=bw)
 
     # -- reductions ----------------------------------------------------------
     def sum(self, axis=None, keepdims=False):
@@ -171,7 +174,9 @@ class Tensor:
         def bw(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, src_shape).copy(),)
+            g = np.broadcast_to(g, src_shape)
+            # a read-only view serves a node; a leaf's .grad is its own array
+            return (g.copy() if self._backward_fn is None else g,)
 
         return Tensor(out_data, _parents=(self,), _backward_fn=bw)
 
@@ -226,18 +231,25 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scatter_rows(values: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
-    """Sum ``values[k]`` into row ``ids[k]`` of an (n, ...) array of zeros.
+def _scatter_rows(values: np.ndarray, ids: np.ndarray, n: int,
+                  axis: int = 0) -> np.ndarray:
+    """Sum the slice ``k`` of ``values`` along ``axis`` into slot ``ids[k]``
+    of an array of zeros with ``n`` slots along that axis.
 
-    One ``bincount`` over the flattened (row, column) indices. It adds in
-    the order of ``np.add.at`` on zeros, so the result is bit-identical,
-    signed zeros included. ``ids`` must lie in ``[0, n)``.
+    One ``bincount`` over the flattened (leading, slot, trailing) indices.
+    It adds in the order of ``np.add.at`` on zeros, so the result is
+    bit-identical, signed zeros included, and each leading index (each path
+    of a path-stacked array) gets the sums its own call would give. ``ids``
+    must lie in ``[0, n)``.
     """
-    trail = values.shape[1:]
+    lead, trail = values.shape[:axis], values.shape[axis + 1:]
     width = math.prod(trail)
-    flat = (ids[:, None] * width + np.arange(width)).reshape(-1)
-    out = np.bincount(flat, weights=values.reshape(-1), minlength=n * width)
-    return out.reshape((n,) + trail)
+    flat = ids[:, None] * width + np.arange(width)
+    if lead:
+        flat = np.arange(math.prod(lead))[:, None, None] * (n * width) + flat
+    out = np.bincount(flat.reshape(-1), weights=values.reshape(-1),
+                      minlength=math.prod(lead) * n * width)
+    return out.reshape(lead + (n,) + trail)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -266,14 +278,62 @@ def concat(tensors, axis=0) -> Tensor:
     return Tensor(out_data, _parents=tuple(tensors), _backward_fn=bw)
 
 
-def segment_sum(t: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Sum rows of ``t`` into ``num_segments`` buckets given by ``segment_ids``,
-    each in ``[0, num_segments)``."""
+def take(t: Tensor, idx: np.ndarray, axis: int = 0) -> Tensor:
+    """Gather the slices ``idx`` of ``t`` along ``axis`` (``t[idx]`` for axis 0)."""
+    axis %= t.data.ndim
+    n = t.data.shape[axis]
+    # an index may be negative; bincount wants it in range
+    return Tensor(t.data.take(idx, axis=axis), _parents=(t,),
+                  _backward_fn=lambda g: (_scatter_rows(g, idx % n, n, axis),))
+
+
+def segment_sum(t: Tensor, segment_ids: np.ndarray, num_segments: int,
+                axis: int = 0) -> Tensor:
+    """Sum the slices of ``t`` along ``axis`` into ``num_segments`` buckets
+    given by ``segment_ids``, each in ``[0, num_segments)``."""
     t = as_tensor(t)
+    axis %= t.data.ndim
     segment_ids = np.asarray(segment_ids, dtype=np.intp)
-    out_data = _scatter_rows(t.data, segment_ids, num_segments)
+    out_data = _scatter_rows(t.data, segment_ids, num_segments, axis)
     return Tensor(out_data, _parents=(t,),
-                  _backward_fn=lambda g: (g[segment_ids],))
+                  _backward_fn=lambda g: (g.take(segment_ids, axis=axis),))
+
+
+def stack(tensors) -> Tensor:
+    """Stack same-shape tensors along a new leading axis; each gets its own
+    row of the gradient."""
+    tensors = [as_tensor(t) for t in tensors]
+    return Tensor(np.stack([t.data for t in tensors]), _parents=tuple(tensors),
+                  _backward_fn=tuple)
+
+
+def unstack(t: Tensor) -> list[Tensor]:
+    """Split ``t`` along its leading axis into one tensor per row.
+
+    The rows' gradients are stacked, never added: each row hands its own to
+    one shared node, whose backward returns them as one array for ``t``. A
+    sum of zero-padded arrays would turn a -0.0 into +0.0. A row that gets
+    no gradient in a backward call contributes zeros.
+    """
+    if not t.requires_grad:
+        return [Tensor(row) for row in t.data]
+    row_grads: list = [None] * len(t.data)
+
+    def stacked(_):
+        g = np.stack([np.zeros(t.data.shape[1:]) if r is None else r
+                      for r in row_grads])
+        row_grads[:] = [None] * len(row_grads)
+        return (g,)
+
+    hub = Tensor(np.zeros(0), _parents=(t,), _backward_fn=stacked)
+
+    def row(k):
+        def bw(g):
+            row_grads[k] = g
+            return (np.zeros(0),)     # a token, so that the hub runs
+        return Tensor(t.data[k], _parents=(hub,), _backward_fn=bw)
+
+    return [row(k) for k in range(len(t.data))]
 
 
 def softmax(t: Tensor, axis=-1) -> Tensor:
@@ -351,8 +411,11 @@ def backward(out: Tensor) -> None:
             continue
         visited.add(id(node))
         stack_.append((node, True))
+        # a leaf holds no pending gradient: backward adds to its .grad
+        # directly, so the walk needs only the recorded nodes
         for p in node._parents:
-            stack_.append((p, False))
+            if p._backward_fn is not None and id(p) not in visited:
+                stack_.append((p, False))
 
     grads: dict[int, np.ndarray] = {id(out): np.ones_like(out.data)}
     for node in reversed(topo):

@@ -116,6 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_coarsen(args) -> int:
+    ModelConfig(aux_cutoff=args.cutoff)     # the model's check of the cutoff
     records = _parse_sdf_file(args.input)
     for rec, (graph, conf) in enumerate(records):
         expanded = build_graph(graph.atoms, graph.bonds, conf, args.cutoff)

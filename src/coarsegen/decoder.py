@@ -6,6 +6,9 @@ Refinement predicts a distortion of the reference conformer: every layer
 re-anchors coordinates at the reference, so zeroed update networks return
 the reference exactly. Coordinates and centroids enter invariant feature
 mixing through vector-neuron norms, keeping the whole decoder equivariant.
+
+A single-block decode also takes a path-stacked latent, (K, beads, F, 3),
+and decodes the K draws in one call (see :mod:`coarsegen.nn`).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import topology
-from .autodiff import Tensor, concat, no_grad, segment_sum, softmax
+from .autodiff import Tensor, concat, no_grad, segment_sum, softmax, take
 from .coarsen import CGMapping
 from .encoder import center, encode_reference
 from .latent import prior_params, sample
@@ -30,24 +33,26 @@ def channel_selection(z: Tensor, mapping: CGMapping,
 
     Queries are the reference coordinates of each bead's member atoms; keys
     and values are the bead's latent channels (embedding dimension 3, scale
-    1/sqrt(3)). Output rows land at the atoms' global indices.
+    1/sqrt(3)). Output rows land at the atoms' global indices. A
+    path-stacked ``z`` gives one (atoms, 3) slice per path.
     """
-    if z.shape[0] != mapping.n_beads:
+    if z.shape[-3] != mapping.n_beads:
         raise ValueError("latent bead count does not match mapping")
     ref_coords = np.asarray(ref_coords, dtype=np.float64)
+    lead = (slice(None),) * (z.ndim - 3)
     pieces = []
     member_order = []
     for bead in range(mapping.n_beads):
         members = sorted(mapping.members[bead])
         member_order.extend(members)
         q = Tensor(ref_coords[members])            # n_I x 3
-        keys = z[bead]                             # F x 3
-        scores = (q @ keys.swapaxes(0, 1)) / np.sqrt(3.0)
-        weights = softmax(scores, axis=1)
+        keys = z[lead + (bead,)]                   # (..., F, 3)
+        scores = (q @ keys.swapaxes(-1, -2)) / np.sqrt(3.0)
+        weights = softmax(scores, axis=-1)
         pieces.append(weights @ keys)
-    stacked = concat(pieces, axis=0)
+    stacked = concat(pieces, axis=-2)
     inverse = np.argsort(np.asarray(member_order, dtype=np.intp))
-    return stacked[inverse]
+    return take(stacked, inverse, -2)
 
 
 def _refine(store: ParameterStore, cfg: ModelConfig, x0: Tensor, x_ref: Tensor,
@@ -56,7 +61,7 @@ def _refine(store: ParameterStore, cfg: ModelConfig, x0: Tensor, x_ref: Tensor,
     """Stacked distortion-learning message passing over one atom subset."""
     D = cfg.hidden_dim
     src, dst, inv_deg = edges
-    s = x0.shape[0]
+    lead, s = x0.shape[:-2], x0.shape[-2]
     x, h = x0, h0
     for layer in range(cfg.layers):
         pfx = f"dec.l{layer}"
@@ -64,39 +69,43 @@ def _refine(store: ParameterStore, cfg: ModelConfig, x0: Tensor, x_ref: Tensor,
             mu = prev_coords.mean(axis=0, keepdims=True)
         else:
             mu = Tensor(np.zeros((1, 3)))
-        dx = (x - mu).reshape(s, 1, 3)
+        dx = (x - mu).reshape(lead + (s, 1, 3))
         dx_inv = vn_norms(vn_mlp(store, f"{pfx}.vn_mix", dx, D, D))
-        d2mu = ((x - mu) * (x - mu)).sum(axis=1, keepdims=True)
-        h_mix = mlp(store, f"{pfx}.phi_m", concat([h, dx_inv, d2mu], axis=1), D, D)
+        d2mu = ((x - mu) * (x - mu)).sum(axis=-1, keepdims=True)
+        h_mix = mlp(store, f"{pfx}.phi_m", concat([h, dx_inv, d2mu], axis=-1), D, D)
 
-        diff = x[dst] - x[src]
-        d2 = (diff * diff).sum(axis=1, keepdims=True)
-        dref_j = x[dst] - x_ref[src]
-        d2ref_j = (dref_j * dref_j).sum(axis=1, keepdims=True)
-        dref_i = x[dst] - x_ref[dst]
-        d2ref_i = (dref_i * dref_i).sum(axis=1, keepdims=True)
-        m_in = concat([h_mix[dst], h_mix[src], d2, d2ref_j, d2ref_i], axis=1)
+        diff = take(x, dst, -2) - take(x, src, -2)
+        d2 = (diff * diff).sum(axis=-1, keepdims=True)
+        dref_j = take(x, dst, -2) - x_ref[src]
+        d2ref_j = (dref_j * dref_j).sum(axis=-1, keepdims=True)
+        dref_i = take(x, dst, -2) - x_ref[dst]
+        d2ref_i = (dref_i * dref_i).sum(axis=-1, keepdims=True)
+        m_in = concat([take(h_mix, dst, -2), take(h_mix, src, -2), d2, d2ref_j, d2ref_i],
+                      axis=-1)
         m_e = mlp(store, f"{pfx}.phi_e", m_in, D, D)
-        m_node = segment_sum(m_e, dst, s) * Tensor(inv_deg[:, None])
+        m_node = segment_sum(m_e, dst, s, axis=-2) * Tensor(inv_deg[:, None])
 
         if prev_h is not None:
             u = attention(store, f"{pfx}.att", h_mix, prev_h)
         else:
-            u = Tensor(np.zeros((s, D)))
+            u = Tensor(np.zeros(lead + (s, D)))
 
         gate = mlp(store, f"{pfx}.phi_x", m_e, D, 1)
         dist = (d2 + 1e-12).sqrt()
         x = x_ref + segment_sum(diff * (gate / (dist + 1.0)), dst,
-                                s) * Tensor(inv_deg[:, None])
-        h_in = concat([h_mix, m_node, u, h0], axis=1)
+                                s, axis=-2) * Tensor(inv_deg[:, None])
+        h_in = concat([h_mix, m_node, u, h0], axis=-1)
         h = (1.0 - ETA) * h + ETA * mlp(
             store, f"{pfx}.phi_h", h_in, D, D)
     return x, h
 
 
 def _decoder_atom_features(store: ParameterStore, cfg: ModelConfig,
-                           graph: MolecularGraph) -> Tensor:
-    return affine(store, "dec.emb", Tensor(topology.atom_features(graph)), cfg.hidden_dim)
+                           graph: MolecularGraph, lead: tuple) -> Tensor:
+    feats = topology.atom_features(graph)
+    if lead:
+        feats = np.broadcast_to(feats, lead + feats.shape)
+    return affine(store, "dec.emb", Tensor(feats), cfg.hidden_dim)
 
 
 def decode_blocks(mapping: CGMapping, mode: str,
@@ -125,16 +134,22 @@ def decode(store: ParameterStore, cfg: ModelConfig, z: Tensor,
 
     ``blocks`` must hold every atom exactly once (see :func:`decode_blocks`).
     Each block attends to the atoms of the blocks before it: to their
-    decoded coordinates, or to ``teacher_coords`` when given.
+    decoded coordinates, or to ``teacher_coords`` when given. A path-stacked
+    ``z``, (K, beads, F, 3), decodes K draws at once into (K, atoms, 3); it
+    takes the one block of every atom in atom order.
     """
     atoms = [a for block in blocks for a in block]
     if sorted(atoms) != list(range(graph.n_atoms)):
         raise ValueError(f"blocks must hold each of the {graph.n_atoms} atoms "
                          f"exactly once, got {atoms}")
+    whole = len(blocks) == 1 and atoms == list(range(graph.n_atoms))
+    lead = z.shape[:-3]
+    if lead and not whole:
+        raise ValueError("a path-stacked latent decodes in one block of every atom")
     x_cs = channel_selection(z, mapping, ref_coords)
-    h0_all = _decoder_atom_features(store, cfg, graph)
+    h0_all = _decoder_atom_features(store, cfg, graph, lead)
     ref_coords = np.asarray(ref_coords)
-    if len(blocks) == 1 and atoms == list(range(graph.n_atoms)):
+    if whole:
         # every atom in atom order: nothing to gather or reorder
         edges = topology.local_edges(graph, atoms)
         return _refine(store, cfg, x_cs, Tensor(ref_coords), h0_all, edges,

@@ -9,6 +9,12 @@ latent never depends on ground-truth coordinates and the ground-truth paths
 never see each other.
 The output per path is an equivariant latent tensor of shape
 (beads, channels, 3).
+
+For K >= 2 the ground-truth paths run as one path-stacked state: every
+array has a leading path axis, and each layer function runs all K paths in
+one call (see :mod:`coarsegen.nn`). The layer functions index rows from the
+end (axis -2 of (..., rows, D) features, -3 of (..., beads, F, 3) ones), so
+the same code runs a single path and a stack.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import topology
-from .autodiff import Tensor, concat, segment_sum
+from .autodiff import Tensor, concat, segment_sum, take, unstack
 from .coarsen import CGMapping
 from .molio import MolecularGraph
 from .nn import (ETA, RBF_CENTERS, RBF_WIDTH, ModelConfig, affine, attention, mlp,
@@ -54,13 +60,20 @@ class CgState:
 
 
 def _pair_dist2(x: Tensor, src, dst) -> Tensor:
-    diff = x[dst] - x[src]
-    return (diff * diff).sum(axis=1, keepdims=True)
+    diff = take(x, dst, -2) - take(x, src, -2)
+    return (diff * diff).sum(axis=-1, keepdims=True)
+
+
+def _const(array: np.ndarray, lead: tuple) -> Tensor:
+    """A constant shared by every path, broadcast over the path axis."""
+    return Tensor(np.broadcast_to(array, lead + array.shape) if lead else array)
 
 
 def init_fg_state(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
                   coords: np.ndarray) -> FgState:
-    feats = Tensor(topology.atom_features(graph))
+    """State of one path, (atoms, 3) ``coords``, or of a stack of paths,
+    (K, atoms, 3)."""
+    feats = _const(topology.atom_features(graph), coords.shape[:-2])
     h0 = affine(store, "enc.main.emb", feats, cfg.hidden_dim)
     x = Tensor(coords)
     return FgState(h=h0, x=x, x0=x, f=h0)
@@ -70,9 +83,9 @@ def init_cg_state(cfg: ModelConfig, fg: FgState, mapping: CGMapping) -> CgState:
     assignment, inv_size = topology.pooling_index(mapping)
     n_beads = mapping.n_beads
     inv_sizes = Tensor(inv_size)
-    H0 = segment_sum(fg.h, assignment, n_beads) * inv_sizes
-    X0 = segment_sum(fg.x, assignment, n_beads) * inv_sizes
-    v0 = Tensor(np.zeros((n_beads, cfg.latent_channels, 3)))
+    H0 = segment_sum(fg.h, assignment, n_beads, axis=-2) * inv_sizes
+    X0 = segment_sum(fg.x, assignment, n_beads, axis=-2) * inv_sizes
+    v0 = Tensor(np.zeros(fg.h.shape[:-2] + (n_beads, cfg.latent_channels, 3)))
     return CgState(H=H0, X=X0, X0=X0, H0=H0, v=v0)
 
 
@@ -82,25 +95,26 @@ def fg_layer(store: ParameterStore, cfg: ModelConfig, layer: int, st: FgState,
     ``ref_h``, the reference path's features at this layer's input; the
     reference path passes None and attends to nothing."""
     D = cfg.hidden_dim
-    n = st.h.shape[0]
+    lead, n = st.h.shape[:-2], st.h.shape[-2]
     pfx = f"enc.main.fg.l{layer}"
     d2 = _pair_dist2(st.x, edges.src, edges.dst)
-    m_in = concat([st.h[edges.dst], st.h[edges.src], d2, Tensor(edges.feats)], axis=1)
+    m_in = concat([take(st.h, edges.dst, -2), take(st.h, edges.src, -2), d2,
+                   _const(edges.feats, lead)], axis=-1)
     m_e = mlp(store, f"{pfx}.phi_e", m_in, D, D)
-    m_node = segment_sum(m_e, edges.dst, n) * Tensor(edges.inv_degree[:, None])
+    m_node = segment_sum(m_e, edges.dst, n, axis=-2) * Tensor(edges.inv_degree[:, None])
 
     gate = mlp(store, f"{pfx}.phi_x", m_e, D, 1)
-    diff = st.x[edges.dst] - st.x[edges.src]
+    diff = take(st.x, edges.dst, -2) - take(st.x, edges.src, -2)
     dist = (_pair_dist2(st.x, edges.src, edges.dst) + _DIST_EPS).sqrt()
     # distance-normalized, degree-averaged update keeps deep stacks stable
     coord_sum = segment_sum(diff * (gate / (dist + 1.0)), edges.dst,
-                            n) * Tensor(edges.inv_degree[:, None])
+                            n, axis=-2) * Tensor(edges.inv_degree[:, None])
     x_new = ETA * st.x0 + (1.0 - ETA) * st.x + coord_sum
     if ref_h is None:
-        u = Tensor(np.zeros((n, D)))
+        u = Tensor(np.zeros(lead + (n, D)))
     else:
         u = attention(store, f"enc.fg.l{layer}.att", st.h, ref_h)
-    h_in = concat([st.h, m_node, u, st.f], axis=1)
+    h_in = concat([st.h, m_node, u, st.f], axis=-1)
     h_new = (1.0 - ETA) * st.h + ETA * mlp(
         store, f"{pfx}.phi_h", h_in, D, D)
     return FgState(h=h_new, x=x_new, x0=st.x0, f=st.f)
@@ -116,20 +130,21 @@ def pool_layer(store: ParameterStore, cfg: ModelConfig, layer: int,
     n_beads = mapping.n_beads
     inv_sizes = Tensor(inv_size)
 
-    diff = cg.X[bead_idx] - fg.x[atom_idx]
-    d2 = (diff * diff).sum(axis=1, keepdims=True)
-    ones = Tensor(np.ones((len(atom_idx), 1)))
-    m_in = concat([cg.H[bead_idx], fg.h[atom_idx], d2, ones], axis=1)
+    diff = take(cg.X, bead_idx, -2) - take(fg.x, atom_idx, -2)
+    d2 = (diff * diff).sum(axis=-1, keepdims=True)
+    ones = _const(np.ones((len(atom_idx), 1)), cg.H.shape[:-2])
+    m_in = concat([take(cg.H, bead_idx, -2), take(fg.h, atom_idx, -2), d2, ones],
+                  axis=-1)
     m_e = mlp(store, f"{pfx}.phi_e", m_in, D, D)
-    m_bead = segment_sum(m_e, bead_idx, n_beads) * inv_sizes
+    m_bead = segment_sum(m_e, bead_idx, n_beads, axis=-2) * inv_sizes
 
     gate = mlp(store, f"{pfx}.phi_x", m_e, D, 1)
     dist = (d2 + _DIST_EPS).sqrt()
     coord_sum = segment_sum(diff * (gate / (dist + 1.0)), bead_idx,
-                            n_beads) * inv_sizes
+                            n_beads, axis=-2) * inv_sizes
     X_new = ETA * cg.X0 + (1.0 - ETA) * cg.X + coord_sum
 
-    h_in = concat([cg.H, m_bead, cg.H0], axis=1)
+    h_in = concat([cg.H, m_bead, cg.H0], axis=-1)
     H_new = (1.0 - ETA) * cg.H + ETA * mlp(
         store, f"{pfx}.phi_h", h_in, D, D)
     return CgState(H=H_new, X=X_new, X0=cg.X0, H0=cg.H0, v=cg.v)
@@ -140,42 +155,42 @@ def cg_layer(store: ParameterStore, cfg: ModelConfig, layer: int, st: CgState,
     """Point-convolution update of one path's bead features and equivariant
     channels; ``ref_H`` is as ``ref_h`` of :func:`fg_layer`, after pooling."""
     D, F = cfg.hidden_dim, cfg.latent_channels
-    n_beads = st.H.shape[0]
+    lead, n_beads = st.H.shape[:-2], st.H.shape[-2]
     pfx = f"enc.main.cg.l{layer}"
     # equivariant/invariant feature mixing
     h1 = mlp(store, f"{pfx}.phi1",
-             concat([st.H, vn_norms(vn_mlp(store, f"{pfx}.vn1", st.v, F, F))], axis=1),
+             concat([st.H, vn_norms(vn_mlp(store, f"{pfx}.vn1", st.v, F, F))], axis=-1),
              D, D)
     h2 = mlp(store, f"{pfx}.phi2",
-             concat([st.H, vn_norms(vn_mlp(store, f"{pfx}.vn2", st.v, F, F))], axis=1),
+             concat([st.H, vn_norms(vn_mlp(store, f"{pfx}.vn2", st.v, F, F))], axis=-1),
              D, F)
     gate = mlp(store, f"{pfx}.phi3", st.H, D, F)
-    v1 = gate.reshape(n_beads, F, 1) * vn_mlp(store, f"{pfx}.vn3", st.v, F, F)
+    v1 = gate.reshape(gate.shape + (1,)) * vn_mlp(store, f"{pfx}.vn3", st.v, F, F)
 
     if len(edges.src):
-        r = st.X[edges.dst] - st.X[edges.src]
-        dist = ((r * r).sum(axis=1) + _DIST_EPS).sqrt()
+        r = take(st.X, edges.dst, -2) - take(st.X, edges.src, -2)
+        dist = ((r * r).sum(axis=-1) + _DIST_EPS).sqrt()
         k1 = rbf_expand(store, f"{pfx}.ker1", dist, RBF_CENTERS, RBF_WIDTH, D)
         k2 = rbf_expand(store, f"{pfx}.ker2", dist, RBF_CENTERS, RBF_WIDTH, F)
         k3 = rbf_expand(store, f"{pfx}.ker3", dist, RBF_CENTERS, RBF_WIDTH, F)
-        e = len(edges.src)
-        mh_e = k1 * h1[edges.src]
-        mv_e = (k2.reshape(e, F, 1) * v1[edges.src]
-                + (k3 * h2[edges.src]).reshape(e, F, 1) * r.reshape(e, 1, 3))
-        mh = segment_sum(mh_e, edges.dst, n_beads)
-        mv = segment_sum(mv_e, edges.dst, n_beads)
+        mh_e = k1 * take(h1, edges.src, -2)
+        mv_e = (k2.reshape(k2.shape + (1,)) * take(v1, edges.src, -3)
+                + (k3 * take(h2, edges.src, -2)).reshape(k3.shape + (1,))
+                * r.reshape(r.shape[:-1] + (1, 3)))
+        mh = segment_sum(mh_e, edges.dst, n_beads, axis=-2)
+        mv = segment_sum(mv_e, edges.dst, n_beads, axis=-3)
     else:
-        mh = Tensor(np.zeros((n_beads, D)))
-        mv = Tensor(np.zeros((n_beads, F, 3)))
+        mh = Tensor(np.zeros(lead + (n_beads, D)))
+        mv = Tensor(np.zeros(lead + (n_beads, F, 3)))
 
     if ref_H is None:
-        u = Tensor(np.zeros((n_beads, D)))
+        u = Tensor(np.zeros(lead + (n_beads, D)))
     else:
         u = attention(store, f"enc.cg.l{layer}.att", st.H, ref_H)
     H_new = (1.0 - ETA) * st.H + ETA * mlp(
-        store, f"{pfx}.upd_h", concat([st.H, mh, u], axis=1), D, D)
+        store, f"{pfx}.upd_h", concat([st.H, mh, u], axis=-1), D, D)
     v_new = (1.0 - ETA) * st.v + ETA * vn_mlp(
-        store, f"{pfx}.vn4", concat([st.v, mv], axis=1), F, F)
+        store, f"{pfx}.vn4", concat([st.v, mv], axis=-2), F, F)
     return CgState(H=H_new, X=st.X, X0=st.X0, H0=st.H0, v=v_new)
 
 
@@ -185,14 +200,18 @@ def encode(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
     """Encode K >= 0 ground-truth conformers beside one reference conformer.
 
     Returns the K ground-truth latents (Z) and the reference latent (Z~).
-    Each layer runs the fg, pool and cg updates over the paths, ground truths
-    first and the reference last (the order in which a fresh store draws
-    their weights); a ground-truth path attends to the reference's state at
-    the layer's input. Inputs are centered here.
+    Each layer runs the fg, pool and cg updates, the ground truths first and
+    the reference last (the order in which a fresh store draws their
+    weights); a ground-truth path attends to the reference's state at the
+    layer's input. K >= 2 ground truths run as one path-stacked call per
+    update. Inputs are centered here.
     """
-    coords = [center(gt)[0] for gt in gt_list] + [center(ref_coords)[0]]
+    gts = [center(gt)[0] for gt in gt_list]
+    paths = [center(ref_coords)[0]]
+    if gts:
+        paths.insert(0, gts[0] if len(gts) == 1 else np.stack(gts))
     edges = directed_edges(graph)
-    fg = [init_fg_state(store, cfg, graph, c) for c in coords]
+    fg = [init_fg_state(store, cfg, graph, c) for c in paths]
     cg = [init_cg_state(cfg, st, mapping) for st in fg]
     bead_edges = topology.bead_edges(graph, mapping, cfg.aux_cutoff)
 
@@ -204,7 +223,10 @@ def encode(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
         ref_H = cg[-1].H
         cg = [cg_layer(store, cfg, layer, st, bead_edges, ref_H) for st in cg[:-1]] + [
             cg_layer(store, cfg, layer, cg[-1], bead_edges, None)]
-    return [st.v for st in cg[:-1]], cg[-1].v
+    z_truth = [st.v for st in cg[:-1]]
+    if len(gts) > 1:
+        z_truth = unstack(z_truth[0])
+    return z_truth, cg[-1].v
 
 
 def encode_reference(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,

@@ -5,11 +5,21 @@ All blocks read their weights from a :class:`~coarsegen.params.ParameterStore`
 under a caller-supplied name prefix; creating and applying a block are the
 same call, so parameters materialize lazily on first use.
 
-``mlp``, ``affine``, ``vn_nonlin``, ``vn_norms`` and the Gaussian basis of
-``rbf_expand`` are fused: each records one tape node with a hand-written
-backward, and computes its forward with the numpy operations, in the order,
-of the primitive-op chain it replaces, so its values are unchanged.
-``vn_linear`` is one matmul node; ``vn_mlp`` and ``attention`` are composed.
+``mlp``, ``affine``, ``vn_linear``, ``vn_nonlin``, ``vn_norms`` and the
+Gaussian basis of ``rbf_expand`` are fused: each records one tape node with
+a hand-written backward, and computes its forward with the numpy
+operations, in the order and on operands of the memory layout, of the
+primitive-op chain it replaces, so its values are unchanged. ``vn_mlp`` is
+composed; ``attention`` is a query ``affine`` and two fused nodes.
+
+Path stacking: an input with one leading axis more than the layer's own
+rank (2 for ``mlp``, ``affine`` and attention queries, 3 for the
+vector-neuron layers) holds K conformer paths, which one call runs at once.
+Each slice of the output equals the single-path call bit for bit. The
+backward returns one gradient per path for each parameter, summed over
+that path's rows only, and the node lists the parameter once per path among
+its parents, so :func:`~coarsegen.autodiff.backward` adds them to ``.grad``
+in path order, the fold that K single-path calls give.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _sigmoid, _unbroadcast, softmax
+from .autodiff import Tensor, _sigmoid
 from .molio import AUX_CUTOFF
 from .params import ParameterStore
 
@@ -50,13 +60,28 @@ class ModelConfig:
             raise ValueError(f"aux_cutoff must be finite and at least 0, got {self.aux_cutoff}")
 
 
+def _paths(x: np.ndarray, rank: int) -> int:
+    """K for an input stacked over K paths (``rank`` + 1 axes), else 0."""
+    return x.shape[0] if x.ndim > rank else 0
+
+
+def _in_path_order(paths: int, *grads) -> tuple:
+    """Gradients of several parameters in the order of the parents
+    ``params * max(paths, 1)``: each parameter's path-0 gradient, then each
+    one's path-1 gradient, and so on. Unstacked (``paths`` 0), one each."""
+    if not paths:
+        return grads
+    return tuple(g for path in zip(*grads) for g in path)
+
+
 def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient of ``x @ w`` with respect to ``w``, summed over leading axes."""
-    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    """Gradient of ``x @ w`` with respect to ``w``, one per path."""
+    return np.matmul(np.swapaxes(x, -1, -2), g)
 
 
 def _bias_grad(g: np.ndarray) -> np.ndarray:
-    return g.reshape(-1, g.shape[-1]).sum(axis=0)
+    """Gradient of ``+ b``, one per path: ``g`` summed over its rows."""
+    return g.sum(axis=-2)
 
 
 def mlp(store: ParameterStore, prefix: str, x: Tensor,
@@ -67,6 +92,7 @@ def mlp(store: ParameterStore, prefix: str, x: Tensor,
     b0 = store.new(f"{prefix}.b0", (d_hidden,), fan_in=d_in)
     w1 = store.new(f"{prefix}.w1", (d_hidden, d_out), fan_in=d_hidden)
     b1 = store.new(f"{prefix}.b1", (d_out,), fan_in=d_hidden)
+    paths = _paths(x.data, 2)
     pre = np.matmul(x.data, w0.data)
     pre += b0.data
     sig = _sigmoid(pre)
@@ -78,10 +104,12 @@ def mlp(store: ParameterStore, prefix: str, x: Tensor,
         # d silu(p)/dp = s(p) (1 + p (1 - s(p)))
         g_pre = np.matmul(g, w1.data.T) * (sig * (1.0 + pre * (1.0 - sig)))
         g_x = np.matmul(g_pre, w0.data.T) if x.requires_grad else None
-        return (g_x, _weight_grad(x.data, g_pre), _bias_grad(g_pre),
-                _weight_grad(act, g), _bias_grad(g))
+        return (g_x,) + _in_path_order(
+            paths, _weight_grad(x.data, g_pre), _bias_grad(g_pre),
+            _weight_grad(act, g), _bias_grad(g))
 
-    return Tensor(out_data, _parents=(x, w0, b0, w1, b1), _backward_fn=bw)
+    return Tensor(out_data, _parents=(x,) + (w0, b0, w1, b1) * max(paths, 1),
+                  _backward_fn=bw)
 
 
 def affine(store: ParameterStore, prefix: str, x: Tensor, d_out: int) -> Tensor:
@@ -89,21 +117,33 @@ def affine(store: ParameterStore, prefix: str, x: Tensor, d_out: int) -> Tensor:
     d_in = x.shape[-1]
     w = store.new(f"{prefix}.w", (d_in, d_out), fan_in=d_in)
     b = store.new(f"{prefix}.b", (d_out,), fan_in=d_in)
+    paths = _paths(x.data, 2)
     out_data = np.matmul(x.data, w.data)
     out_data += b.data
 
     def bw(g):
         g_x = np.matmul(g, w.data.T) if x.requires_grad else None
-        return g_x, _weight_grad(x.data, g), _bias_grad(g)
+        return (g_x,) + _in_path_order(paths, _weight_grad(x.data, g), _bias_grad(g))
 
-    return Tensor(out_data, _parents=(x, w, b), _backward_fn=bw)
+    return Tensor(out_data, _parents=(x,) + (w, b) * max(paths, 1), _backward_fn=bw)
 
 
 def vn_linear(store: ParameterStore, name: str, v: Tensor, f_out: int) -> Tensor:
-    """Channel-mixing linear map acting on the left of (..., F, 3) features."""
+    """Channel-mixing linear map acting on the left of (..., F, 3) features,
+    as one tape node."""
     f_in = v.shape[-2]
     w = store.new(name, (f_out, f_in), fan_in=f_in)
-    return w @ v
+    paths = _paths(v.data, 3)
+
+    def bw(g):
+        g_v = np.matmul(w.data.T, g) if v.requires_grad else None
+        # summed over the rows (beads) of each path
+        return (g_v,) + _in_path_order(
+            paths, np.matmul(g, np.swapaxes(v.data, -1, -2)).sum(axis=-3))
+
+    return Tensor(np.matmul(w.data, v.data), _parents=(v,) + (w,) * max(paths, 1),
+                  _backward_fn=bw)
+
 
 def vn_nonlin(store: ParameterStore, name: str, v: Tensor) -> Tensor:
     """Vector-neuron direction-projection nonlinearity.
@@ -114,6 +154,7 @@ def vn_nonlin(store: ParameterStore, name: str, v: Tensor) -> Tensor:
     """
     f = v.shape[-2]
     u = store.new(name, (f, f), fan_in=f)
+    paths = _paths(v.data, 3)
     vd, ud = v.data, u.data
     d = np.matmul(ud, vd)
     dot = (vd * d).sum(axis=-1, keepdims=True)
@@ -129,10 +170,10 @@ def vn_nonlin(store: ParameterStore, name: str, v: Tensor) -> Tensor:
         g_dot = g_scale / dnorm2
         g_d = -(mask * scale) * g + g_dot * vd - (2.0 * g_scale * scale / dnorm2) * d
         g_v = g + g_dot * d + np.matmul(ud.T, g_d)
-        g_u = _unbroadcast(np.matmul(g_d, np.swapaxes(vd, -1, -2)), ud.shape)
-        return g_v, g_u
+        return (g_v,) + _in_path_order(
+            paths, np.matmul(g_d, np.swapaxes(vd, -1, -2)).sum(axis=-3))
 
-    return Tensor(out_data, _parents=(v, u), _backward_fn=bw)
+    return Tensor(out_data, _parents=(v,) + (u,) * max(paths, 1), _backward_fn=bw)
 
 
 def vn_mlp(store: ParameterStore, prefix: str, v: Tensor,
@@ -152,14 +193,15 @@ def vn_norms(v: Tensor) -> Tensor:
 
 def rbf_expand(store: ParameterStore, prefix: str, d: Tensor,
                centers: np.ndarray, width: float, d_out: int) -> Tensor:
-    """Gaussian radial basis of a distance, through a learned linear map."""
+    """Gaussian radial basis of distances (any shape), through a learned
+    linear map; the basis adds a trailing axis."""
     if np.any(d.data < 0.0):
         raise ValueError("distances must be nonnegative")
-    z = (d.data.reshape(-1, 1) - centers) / width
+    z = (d.data[..., None] - centers) / width
     basis_data = np.exp(-0.5 * z * z)
 
     def bw(g):
-        return ((-(g * basis_data * z).sum(axis=1) / width).reshape(d.shape),)
+        return (-(g * basis_data * z).sum(axis=-1) / width,)
 
     basis = Tensor(basis_data, _parents=(d,), _backward_fn=bw)
     return affine(store, prefix, basis, d_out)
@@ -167,11 +209,63 @@ def rbf_expand(store: ParameterStore, prefix: str, d: Tensor,
 
 def attention(store: ParameterStore, prefix: str, h_query: Tensor,
               h_key: Tensor) -> Tensor:
-    """Scaled dot-product cross attention; softmax runs over the senders."""
+    """Scaled dot-product cross attention; softmax runs over the senders.
+
+    ``h_query`` may be path-stacked; ``h_key`` holds one path's features,
+    which every query path reads. The key and value projections of
+    ``h_key`` are one node, whose backward hands ``h_key`` its key then its
+    value gradient for each path in turn, and the scores, softmax and
+    weighted sum are another.
+    """
     d = h_query.shape[-1]
+    d_key = h_key.shape[-1]
+    paths = _paths(h_query.data, 2)
     q = affine(store, f"{prefix}.q", h_query, d)
-    k = affine(store, f"{prefix}.k", h_key, d)
-    w = store.new(f"{prefix}.w", (h_key.shape[-1], d), fan_in=h_key.shape[-1])
-    scores = (q @ k.T) / np.sqrt(d)
-    coeff = softmax(scores, axis=1)
-    return coeff @ (h_key @ w)
+    kw = store.new(f"{prefix}.k.w", (d_key, d), fan_in=d_key)
+    kb = store.new(f"{prefix}.k.b", (d,), fan_in=d_key)
+    w = store.new(f"{prefix}.w", (d_key, d), fan_in=d_key)
+    x = h_key.data
+    k = np.matmul(x, kw.data)
+    k += kb.data
+    hw = np.matmul(x, w.data)
+    m = x.shape[0]
+    lead = (paths,) if paths else ()
+
+    def kv_bw(g):
+        g_kt = g[..., :m * d].reshape(lead + (d, m))
+        g_k = np.swapaxes(g_kt, -1, -2)
+        g_hw = g[..., m * d:].reshape(lead + (m, d))
+        if h_key.requires_grad:
+            g_key, g_value = np.matmul(g_k, kw.data.T), np.matmul(g_hw, w.data.T)
+        else:
+            g_key = g_value = [None] * paths if paths else None
+        return _in_path_order(paths, g_key, _weight_grad(x, g_k), _bias_grad(g_k),
+                              g_value, _weight_grad(x, g_hw))
+
+    if q.requires_grad or h_key.requires_grad:
+        # one row per path holding k^T and h_key w, so each path's gradient
+        # reaches the projections in the layouts the unfused chain had
+        kv_data = np.concatenate([k.T.ravel(), hw.ravel()])
+        kv = Tensor(np.broadcast_to(kv_data, lead + kv_data.shape),
+                    _parents=(h_key, kw, kb, h_key, w) * max(paths, 1), _backward_fn=kv_bw)
+    else:
+        kv = None      # nothing records (sampling): the node would be dropped
+
+    scale = np.sqrt(d)
+    scores = np.matmul(q.data, np.swapaxes(k, 0, 1)) / scale
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    coeff = e / e.sum(axis=-1, keepdims=True)
+
+    def bw(g):
+        g_coeff = np.matmul(g, np.swapaxes(hw, -1, -2))
+        g_hw = np.matmul(np.swapaxes(coeff, -1, -2), g)
+        g_s = coeff * (g_coeff - (g_coeff * coeff).sum(axis=-1, keepdims=True)) / scale
+        g_q = np.matmul(g_s, k) if q.requires_grad else None
+        g_kt = np.matmul(np.swapaxes(q.data, -1, -2), g_s)
+        return g_q, np.concatenate([g_kt.reshape(lead + (-1,)),
+                                    g_hw.reshape(lead + (-1,))], axis=-1)
+
+    # q first, so that the walk in backward reaches the projections first,
+    # as it reached them before the query in the unfused chain
+    return Tensor(np.matmul(coeff, hw), _parents=() if kv is None else (q, kv),
+                  _backward_fn=bw)

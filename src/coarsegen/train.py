@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import topology
-from .autodiff import Tensor, backward, gc_paused
+from .autodiff import Tensor, backward, gc_paused, stack, unstack
 from .corpus import ToyMolecule, make_corpus
 from .decoder import decode, decode_blocks
 from .encoder import center, encode
@@ -88,7 +88,8 @@ def molecule_loss(store: ParameterStore, cfg: ModelConfig, mol: ToyMolecule,
     The ELBO presets reconstruct the ground truth (K = 1) autoregressively
     under teacher forcing. ``ot`` reconstructs the first K = ``ot_samples``
     truth conformers in one pass each and matches them to the same K truths
-    by optimal transport, so a perfect reconstruction costs zero."""
+    by optimal transport, so a perfect reconstruction costs zero. The K
+    latents are sampled path by path and decoded as one path-stacked call."""
     graph, mapping = mol.graph, mol.mapping
     ot = run.preset == "ot"
     # the preset alone decides whether the KL weight follows the ladder
@@ -103,10 +104,10 @@ def molecule_loss(store: ParameterStore, cfg: ModelConfig, mol: ToyMolecule,
                                topology.bead_order(graph, mapping, cfg.aux_cutoff))
 
     z_truth, z_ref = encode(store, cfg, graph, mapping, truth, ref_c)
-    decoded = []
+    zs = []
     kl = None
     prior = None
-    for z_t, t in zip(z_truth, truth):
+    for z_t in z_truth:
         post = posterior_params(store, cfg, z_t, z_ref)
         if prior is None:
             # after the first posterior: a fresh store draws initial
@@ -114,10 +115,13 @@ def molecule_loss(store: ParameterStore, cfg: ModelConfig, mol: ToyMolecule,
             prior = prior_params(store, cfg, z_ref)
         term = kl_divergence(post, prior)
         kl = term if kl is None else kl + term
-        z = sample(post, rng)
-        # the one ot block has no blocks before it, so only ar reads ``t``
-        decoded.append(decode(store, cfg, z, mapping, ref_c, graph, blocks,
-                              teacher_coords=t))
+        zs.append(sample(post, rng))
+    # the one ot block has no blocks before it, so only ar reads the teacher
+    if len(zs) == 1:
+        decoded = [decode(store, cfg, zs[0], mapping, ref_c, graph, blocks,
+                          teacher_coords=truth[0])]
+    else:
+        decoded = unstack(decode(store, cfg, stack(zs), mapping, ref_c, graph, blocks))
 
     if ot:
         kl = kl * (1.0 / len(truth))
@@ -200,6 +204,8 @@ def train(run: RunConfig, store: ParameterStore | None = None,
             # backward, so the collector has nothing to find in it
             with gc_paused():
                 agg = _train_step(store, cfg, batch, run, epoch, rng, lr)
+            # the step's gradients are spent; a kept result holds none
+            store.zero_grad()
             agg.update(epoch=epoch, step=store.step, lr=lr)
             history.append(agg)
             log.info("step=%d epoch=%d lr=%g recon=%.6f kl=%.6f dist=%.6f "

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsegen.autodiff import (Tensor, _scatter_rows, as_tensor, backward,
-                                concat, no_grad, segment_sum, softmax)
+                                concat, no_grad, segment_sum, softmax, stack, take,
+                                unstack)
 
 RNG = np.random.default_rng(42)
 
@@ -291,6 +292,62 @@ class TestScatterRows:
         assert_bit_identical(t.grad, add_at(g, ids, 6))
         out = segment_sum(Tensor(g[:6]), ids[:6], 6).data
         assert_bit_identical(out, add_at(g[:6], ids[:6], 6))
+
+
+class TestPathAxis:
+    """Ops over a leading path axis give each path what its own call gives,
+    bit for bit, signed zeros included."""
+
+    def test_take_and_segment_sum_along_rows(self):
+        x = RNG.standard_normal((3, 6, 2))
+        ids = np.array([4, 0, 4, 5, 0, -1])
+        g = RNG.standard_normal((3, 6, 2))
+        g[1, 2] = -0.0
+        t = Tensor(x, requires_grad=True)
+        out = take(t, ids, 1)
+        backward((out * Tensor(g)).sum())
+        seg = segment_sum(Tensor(g), ids % 6, 6, axis=1).data
+        for k in range(3):
+            t_k = Tensor(x[k], requires_grad=True)
+            out_k = t_k[ids]
+            assert_bit_identical(out.data[k], out_k.data)
+            backward((out_k * Tensor(g[k])).sum())
+            assert_bit_identical(t.grad[k], t_k.grad)
+            assert_bit_identical(seg[k], segment_sum(Tensor(g[k]), ids % 6, 6).data)
+
+    def test_unstack_stacks_row_gradients(self):
+        t = Tensor(RNG.standard_normal((3, 2)), requires_grad=True)
+        rows = unstack(t)
+        assert [r.shape for r in rows] == [(2,)] * 3
+        backward((rows[0] * Tensor(np.full(2, -0.0))).sum() + rows[2].sum())
+        assert_bit_identical(t.grad, np.array([[-0.0, -0.0], [0.0, 0.0], [1.0, 1.0]]))
+        t.grad = None
+        backward(rows[1].sum())       # the first call's row gradients are gone
+        assert_bit_identical(t.grad, np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]]))
+
+    def test_stack_hands_each_its_row(self):
+        a = Tensor(RNG.standard_normal(2), requires_grad=True)
+        b = Tensor(RNG.standard_normal(2), requires_grad=True)
+        g = np.array([[-0.0, 2.0], [3.0, -4.0]])
+        backward((stack([a, b]) * Tensor(g)).sum())
+        assert_bit_identical(a.grad, g[0])
+        assert_bit_identical(b.grad, g[1])
+
+
+class TestUnreadGradients:
+    @pytest.mark.parametrize("op", [lambda a, c: a + c, lambda a, c: a - c,
+                                    lambda a, c: a * c, lambda a, c: a / c,
+                                    lambda a, c: a @ c])
+    def test_no_gradient_for_a_constant_operand(self, op):
+        a = Tensor(RNG.standard_normal((2, 2)), requires_grad=True)
+        out = op(a, Tensor(RNG.standard_normal((2, 2)) + 3.0))
+        ga, gc = out._backward_fn(np.ones((2, 2)))
+        assert ga is not None and gc is None
+
+    def test_leaf_grad_of_sum_is_its_own_writable_array(self):
+        t = Tensor(RNG.standard_normal((2, 3)), requires_grad=True)
+        backward(t.sum(axis=1).sum())
+        assert t.grad.flags.writeable and t.grad.base is None
 
 
 class TestOneNodeSub:

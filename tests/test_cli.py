@@ -146,6 +146,13 @@ class TestCoarsen:
         out = capsys.readouterr().out
         assert "beads=" in out and "bead 0:" in out and "centroid" in out
 
+    @pytest.mark.parametrize("cutoff", ["-1", "nan"])
+    def test_invalid_cutoff_exits_1(self, butane_sdf, capsys, cutoff):
+        assert main(["coarsen", butane_sdf, "--cutoff", cutoff]) == 1
+        captured = capsys.readouterr()
+        assert "error: aux_cutoff must be finite and at least 0" in captured.err
+        assert "order=" not in captured.out
+
 
 class TestEval:
     def test_identical_files_full_coverage(self, two_ensembles, capsys):

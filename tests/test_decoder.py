@@ -150,6 +150,19 @@ class TestDecodeOt:
         assert out.shape == (graph.n_atoms, 3)
         assert np.isfinite(out.data).all()
 
+    def test_stacked_latents_decode_as_single_draws(self, mol, cfg, store):
+        graph, mapping, _, ref, order = mol
+        zs = [latent_for(mapping, cfg, seed) for seed in range(3)]
+        blocks = decode_blocks(mapping, "ot")
+        stacked = decode(store, cfg, Tensor(np.stack([z.data for z in zs])), mapping,
+                         ref, graph, blocks)
+        for k, z in enumerate(zs):
+            single = decode(store, cfg, z, mapping, ref, graph, blocks)
+            assert np.array_equal(stacked.data[k], single.data)
+        with pytest.raises(ValueError, match="one block of every atom"):
+            decode(store, cfg, Tensor(np.stack([z.data for z in zs])), mapping, ref,
+                   graph, decode_blocks(mapping, "ar", order))
+
 
 class TestBlocks:
     def test_layouts(self, mol):

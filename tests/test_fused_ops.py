@@ -1,15 +1,17 @@
 """Fused tape ops: each forward equals the primitive-op chain it replaces bit
 for bit, each hand-written backward passes a central-difference check with
 respect to the input and every parameter, and each op records one node.
-Also: one K-path encode equals the per-conformer encodes bit for bit and
-creates its parameters in the same order."""
+A path-stacked call equals the single-path calls bit for bit, gradients
+included. Also: one K-path encode equals the per-conformer encodes bit for
+bit and creates its parameters in the same order."""
 
 import numpy as np
 import pytest
 
 from coarsegen.autodiff import Tensor, backward, softmax
 from coarsegen.encoder import encode, encode_reference
-from coarsegen.nn import _VN_EPS, affine, mlp, rbf_expand, vn_nonlin, vn_norms
+from coarsegen.nn import (_VN_EPS, affine, attention, mlp, rbf_expand, vn_mlp, vn_nonlin,
+                          vn_norms)
 from coarsegen.params import ParameterStore
 from tests.conftest import butane_like
 
@@ -192,6 +194,54 @@ class TestSoftmax:
     def test_one_node(self, rng):
         t = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
         assert tape_nodes(softmax(t, axis=1)) == 1
+
+
+class TestPathStacking:
+    """An input with a leading axis of K paths runs the K paths in one call.
+    Each forward slice equals the single-path call, and after ``.grad =
+    None`` each parameter's ``.grad`` (and the attention source's) equals,
+    bit for bit, the fold in path order of the K single-path backwards:
+    the gradient training gets from K single-path calls."""
+
+    K = 3
+
+    def check(self, call, shape, source_shape=None):
+        rng = np.random.default_rng(SEED)
+        xs = rng.standard_normal((self.K,) + shape)
+        store = ParameterStore(seed=SEED)
+        source = (None if source_shape is None
+                  else Tensor(rng.standard_normal(source_shape), requires_grad=True))
+        stacked_x = Tensor(xs, requires_grad=True)
+        out = call(store, stacked_x, source)
+        w = rng.standard_normal(out.shape)
+        backward((out * Tensor(w)).sum())
+        stacked = {name: p.grad for name, p in store.params.items()}
+        stacked_source = None if source is None else source.grad
+        store.zero_grad()
+        if source is not None:
+            source.grad = None
+        for k in range(self.K):
+            x = Tensor(xs[k], requires_grad=True)
+            out_k = call(store, x, source)
+            assert np.array_equal(out_k.data, out.data[k])
+            backward((out_k * Tensor(w[k])).sum())
+            assert np.array_equal(x.grad, stacked_x.grad[k])
+        for name, p in store.params.items():
+            assert np.array_equal(p.grad, stacked[name]), name
+        if source is not None:
+            assert np.array_equal(source.grad, stacked_source)
+
+    def test_mlp(self):
+        self.check(lambda s, x, _: mlp(s, "m", x, 7, 3), (6, 5))
+
+    def test_affine(self):
+        self.check(lambda s, x, _: affine(s, "a", x, 4), (6, 5))
+
+    def test_vn_mlp(self):
+        self.check(lambda s, x, _: vn_mlp(s, "v", x, 4, 6), (7, 5, 3))
+
+    def test_attention(self):
+        self.check(lambda s, x, src: attention(s, "att", x, src), (6, 4), (5, 4))
 
 
 def test_encode_ensemble_matches_single_encodes(small_cfg):
