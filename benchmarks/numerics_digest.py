@@ -4,7 +4,17 @@ the package bit for bit. From the repository root:
     PYTHONPATH=src python benchmarks/numerics_digest.py
 
 Run it once per version (point ``PYTHONPATH`` at each ``src``) and compare
-the lines. Each line digests the raw float64 bytes of:
+the lines. Where a line moves, compare its arrays one by one:
+
+    PYTHONPATH=src python benchmarks/numerics_digest.py --arrays new.npz
+    PYTHONPATH=src python benchmarks/numerics_digest.py --compare old.npz new.npz
+
+``--arrays`` also saves every array a line hashes (``train``: the trained
+parameters, not the checkpoint bytes), under ``line/name``. ``--compare``
+prints, for each array, "bit-equal" or its largest difference relative to
+the largest magnitude of the first file's array, then a count per line.
+
+Each line digests the raw float64 bytes of:
 
 - ``ot`` / ``elbo-ar`` / ``elbo-annealed``: the loss of each of 10 toy
   molecules at epoch 1 from a fresh parameter store, and every parameter
@@ -29,10 +39,12 @@ Only public names that older versions also have are used.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import importlib
 import os
 import tempfile
+from collections import Counter
 
 import numpy as np
 
@@ -51,91 +63,141 @@ def digest(chunks) -> str:
     return h.hexdigest()[:16]
 
 
-def loss_and_grads(preset: str, mols, ot_samples: int = 3) -> str:
+def hashed(named: dict) -> tuple[str, dict]:
+    """The digest of ``named``'s arrays in order, and the arrays."""
+    return digest(named.values()), named
+
+
+def loss_and_grads(preset: str, mols, ot_samples: int = 3) -> tuple[str, dict]:
     run = train.RunConfig(preset=preset, seed=3, ot_samples=ot_samples)
     cfg = run.model_config()
     store = ParameterStore(seed=3)
     rng = np.random.default_rng(4)
-    chunks = []
-    for mol in mols:
+    named = {}
+    for i, mol in enumerate(mols):
         store.zero_grad()
         loss, _ = train.molecule_loss(store, cfg, mol, run, 1, rng)
         autodiff.backward(loss)
-        chunks.append(loss.data)
+        named[f"mol{i}/loss"] = loss.data
         for name in store.names():
             g = store[name].grad
-            chunks.append(np.zeros(0) if g is None else g)
-    return digest(chunks)
+            named[f"mol{i}/grad/{name}"] = np.zeros(0) if g is None else g
+    return hashed(named)
 
 
-def draws(mols, mode: str) -> str:
+def draws(mols, mode: str) -> tuple[str, dict]:
     cfg = train.RunConfig().model_config()
     store = ParameterStore(seed=5)
     rng = np.random.default_rng(6)
-    chunks = []
-    for mol in mols[:4]:
+    named = {}
+    for i, mol in enumerate(mols[:4]):
         order = coarsen.order_beads(
             mol.mapping, coarsen.build_bead_graph(mol.graph, mol.mapping, cfg.aux_cutoff))
-        for _ in range(10):
-            chunks.append(decoder.generate(store, cfg, mol.graph, mol.mapping,
-                                           mol.ref.coords, order, rng,
-                                           mode=mode).coords)
-    return digest(chunks)
+        for j in range(10):
+            named[f"mol{i}/draw{j}"] = decoder.generate(
+                store, cfg, mol.graph, mol.mapping, mol.ref.coords, order, rng,
+                mode=mode).coords
+    return hashed(named)
 
 
-def rmsd_matrices() -> str:
+def rmsd_matrices() -> tuple[str, dict]:
     rng = np.random.default_rng(7)
-    chunks = []
-    for _ in range(30):
+    named = {}
+    for i in range(30):
         k, l, m = rng.integers(1, 33), rng.integers(1, 17), rng.integers(3, 41)
         a = rng.uniform(1, 20) * rng.standard_normal((k, m, 3))
         b = rng.uniform(1, 20) * rng.standard_normal((l, m, 3))
-        chunks.append(kernels.rmsd_matrix(a, b))
-    return digest(chunks)
+        named[f"pair{i}"] = kernels.rmsd_matrix(a, b)
+    return hashed(named)
 
 
-def emd_plans() -> str:
+def emd_plans() -> tuple[str, dict]:
     rng = np.random.default_rng(9)
-    chunks = []
-    for _ in range(200):
+    named = {}
+    for i in range(200):
         n = rng.integers(2, 7)
         plan, value = losses.emd_solve(rng.uniform(0, 5, size=(n, n)))
-        chunks += [plan.matrix + 0.0, value]    # -0.0 + 0.0 is +0.0
-    return digest(chunks)
+        named[f"cost{i}/plan"] = plan.matrix + 0.0    # -0.0 + 0.0 is +0.0
+        named[f"cost{i}/value"] = value
+    return hashed(named)
 
 
-def checkpoint() -> str:
+def checkpoint() -> tuple[str, dict]:
     with tempfile.TemporaryDirectory() as tmp:
         run = train.RunConfig(preset="ot", epochs=2, lr=1e-2, batch_size=2,
                               corpus_size=4, optimizer="adam", seed=8,
                               checkpoint_dir=tmp)
-        train.train(run)
+        store = train.train(run).store
         with open(os.path.join(tmp, "ckpt_epoch1.bin"), "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()[:16]
+            return (hashlib.sha256(fh.read()).hexdigest()[:16],
+                    {name: store[name].data for name in store.names()})
 
 
-def gradcheck() -> str:
-    return digest([checks.gradient_check(seed=s).max_rel for s in (0, 1, 2)])
+def gradcheck() -> tuple[str, dict]:
+    return hashed({f"seed{s}/max_rel": checks.gradient_check(seed=s).max_rel
+                   for s in (0, 1, 2)})
 
 
-def equivcheck() -> str:
+def equivcheck() -> tuple[str, dict]:
     report = checks.equivariance_check(seed=0, n_molecules=2, n_motions=2)
-    return digest([report.latent_max_rel, report.generate_max_rel])
+    return hashed({"latent_max_rel": report.latent_max_rel,
+                   "generate_max_rel": report.generate_max_rel})
+
+
+def compare(path_a: str, path_b: str) -> None:
+    """Print each array of ``path_a`` against the same-named one of ``path_b``."""
+    a, b = np.load(path_a), np.load(path_b)
+    tally: Counter = Counter()
+    for key in a.files:
+        x = a[key]
+        if key not in b.files:
+            verdict = "missing in the second file"
+        elif x.shape != b[key].shape:
+            verdict = f"shape {x.shape} != {b[key].shape}"
+        elif x.tobytes() == b[key].tobytes():
+            verdict = "bit-equal"
+        else:
+            scale = np.abs(x).max()
+            diff = np.abs(x - b[key]).max()
+            verdict = f"max rel diff {diff / scale if scale else diff:.3e}"
+        line = key.split("/", 1)[0]
+        tally[line, verdict == "bit-equal"] += 1
+        print(f"{key}: {verdict}")
+    for line in dict.fromkeys(k.split("/", 1)[0] for k in a.files):
+        print(f"{line}: {tally[line, True]} bit-equal, {tally[line, False]} differ")
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--arrays", metavar="OUT.npz",
+                        help="also save every hashed array to this file")
+    parser.add_argument("--compare", nargs=2, metavar=("A.npz", "B.npz"),
+                        help="compare two --arrays files instead of digesting")
+    args = parser.parse_args()
+    if args.compare:
+        compare(*args.compare)
+        return
     mols = corpus.make_corpus(N_MOLECULES, 11, n_truth=5)
-    print(f"ot           {loss_and_grads('ot', mols)}")
-    print(f"ot-k5        {loss_and_grads('ot', mols, ot_samples=5)}")
-    print(f"elbo-ar      {loss_and_grads('elbo-ar', mols)}")
-    print(f"elbo-annealed {loss_and_grads('elbo-annealed', mols)}")
-    print(f"generate     {draws(mols, 'ar')}")
-    print(f"generate-ot  {draws(mols, 'ot')}")
-    print(f"rmsd_matrix  {rmsd_matrices()}")
-    print(f"emd          {emd_plans()}")
-    print(f"train        {checkpoint()}")
-    print(f"gradcheck    {gradcheck()}")
-    print(f"equivcheck   {equivcheck()}")
+    lines = {
+        "ot": lambda: loss_and_grads("ot", mols),
+        "ot-k5": lambda: loss_and_grads("ot", mols, ot_samples=5),
+        "elbo-ar": lambda: loss_and_grads("elbo-ar", mols),
+        "elbo-annealed": lambda: loss_and_grads("elbo-annealed", mols),
+        "generate": lambda: draws(mols, "ar"),
+        "generate-ot": lambda: draws(mols, "ot"),
+        "rmsd_matrix": rmsd_matrices,
+        "emd": emd_plans,
+        "train": checkpoint,
+        "gradcheck": gradcheck,
+        "equivcheck": equivcheck,
+    }
+    saved = {}
+    for label, run in lines.items():
+        line_digest, named = run()
+        print(f"{label:12s} {line_digest}", flush=True)
+        saved.update((f"{label}/{name}", np.asarray(x)) for name, x in named.items())
+    if args.arrays:
+        np.savez(args.arrays, **saved)
 
 
 if __name__ == "__main__":

@@ -1,20 +1,16 @@
 """Hierarchical graph-matching encoder.
 
 Each layer stacks a fine-grained message-passing module, an atom-to-bead
-pooling module and a coarse-grained point-convolution module. One reference
-path runs beside K ground-truth paths (K = 1 for one conformer, K = 0 for
-the reference alone), all with the same weights; cross attention flows only
-from the reference path into each ground-truth path, so the reference
-latent never depends on ground-truth coordinates and the ground-truth paths
-never see each other.
+pooling module and a coarse-grained point-convolution module. The K
+ground-truth conformers (K = 1 for one conformer, K = 0 for the reference
+alone) and the reference conformer run as one path-stacked state, the
+reference last: every array has a leading path axis of K + 1 rows, and each
+layer function runs all of them in one call with the same weights (see
+:mod:`coarsegen.nn`). Cross attention flows only from the reference row into
+each ground-truth row, so the reference latent never depends on
+ground-truth coordinates and the ground-truth paths never see each other.
 The output per path is an equivariant latent tensor of shape
-(beads, channels, 3).
-
-For K >= 2 the ground-truth paths run as one path-stacked state: every
-array has a leading path axis, and each layer function runs all K paths in
-one call (see :mod:`coarsegen.nn`). The layer functions index rows from the
-end (axis -2 of (..., rows, D) features, -3 of (..., beads, F, 3) ones), so
-the same code runs a single path and a stack.
+(beads, channels, 3). Below, P = K + 1 is the number of paths.
 """
 
 from __future__ import annotations
@@ -44,19 +40,19 @@ def center(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class FgState:
-    h: Tensor        # n x D invariant features
-    x: Tensor        # n x 3 coordinates
-    x0: Tensor       # n x 3 layer-0 anchor
-    f: Tensor        # n x D original embedded features (re-fed each layer)
+    h: Tensor        # P x n x D invariant features
+    x: Tensor        # P x n x 3 coordinates
+    x0: Tensor       # P x n x 3 layer-0 anchor
+    f: Tensor        # P x n x D original embedded features (re-fed each layer)
 
 
 @dataclass
 class CgState:
-    H: Tensor        # N x D invariant bead features
-    X: Tensor        # N x 3 bead coordinates
-    X0: Tensor       # N x 3 anchor
-    H0: Tensor       # N x D original pooled features
-    v: Tensor        # N x F x 3 equivariant features (zero-initialized)
+    H: Tensor        # P x N x D invariant bead features
+    X: Tensor        # P x N x 3 bead coordinates
+    X0: Tensor       # P x N x 3 anchor
+    H0: Tensor       # P x N x D original pooled features
+    v: Tensor        # P x N x F x 3 equivariant features (zero-initialized)
 
 
 def _pair_dist2(x: Tensor, src, dst) -> Tensor:
@@ -64,16 +60,28 @@ def _pair_dist2(x: Tensor, src, dst) -> Tensor:
     return (diff * diff).sum(axis=-1, keepdims=True)
 
 
-def _const(array: np.ndarray, lead: tuple) -> Tensor:
+def _const(array: np.ndarray, paths: int) -> Tensor:
     """A constant shared by every path, broadcast over the path axis."""
-    return Tensor(np.broadcast_to(array, lead + array.shape) if lead else array)
+    return Tensor(np.broadcast_to(array, (paths,) + array.shape))
+
+
+def _reference_attention(store: ParameterStore, prefix: str, h: Tensor) -> Tensor:
+    """Cross attention of the ground-truth rows of a (K + 1, rows, D) stack to
+    its last row, the reference, at the layer's input; the reference row
+    gets zeros. K = 0 attends to nothing and creates no parameter."""
+    k = h.shape[0] - 1
+    zeros = Tensor(np.zeros((1,) + h.shape[1:]))
+    if not k:
+        return zeros
+    ref = take(h, np.array([k]), 0).reshape(h.shape[1:])
+    u = attention(store, prefix, take(h, np.arange(k), 0), ref)
+    return concat([u, zeros], axis=0)
 
 
 def init_fg_state(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
                   coords: np.ndarray) -> FgState:
-    """State of one path, (atoms, 3) ``coords``, or of a stack of paths,
-    (K, atoms, 3)."""
-    feats = _const(topology.atom_features(graph), coords.shape[:-2])
+    """State of a stack of paths, (paths, atoms, 3) ``coords``."""
+    feats = _const(topology.atom_features(graph), len(coords))
     h0 = affine(store, "enc.main.emb", feats, cfg.hidden_dim)
     x = Tensor(coords)
     return FgState(h=h0, x=x, x0=x, f=h0)
@@ -90,16 +98,16 @@ def init_cg_state(cfg: ModelConfig, fg: FgState, mapping: CGMapping) -> CgState:
 
 
 def fg_layer(store: ParameterStore, cfg: ModelConfig, layer: int, st: FgState,
-             edges: EdgeSet, ref_h: Tensor | None) -> FgState:
-    """One fine-grained update of one path. A ground-truth path attends to
-    ``ref_h``, the reference path's features at this layer's input; the
-    reference path passes None and attends to nothing."""
+             edges: EdgeSet) -> FgState:
+    """One fine-grained update of a (K + 1)-path stack, the reference last.
+    Each ground-truth row attends to the reference row's features at this
+    layer's input; the reference row attends to nothing."""
     D = cfg.hidden_dim
-    lead, n = st.h.shape[:-2], st.h.shape[-2]
+    paths, n, _ = st.h.shape
     pfx = f"enc.main.fg.l{layer}"
     d2 = _pair_dist2(st.x, edges.src, edges.dst)
     m_in = concat([take(st.h, edges.dst, -2), take(st.h, edges.src, -2), d2,
-                   _const(edges.feats, lead)], axis=-1)
+                   _const(edges.feats, paths)], axis=-1)
     m_e = mlp(store, f"{pfx}.phi_e", m_in, D, D)
     m_node = segment_sum(m_e, edges.dst, n, axis=-2) * Tensor(edges.inv_degree[:, None])
 
@@ -110,10 +118,7 @@ def fg_layer(store: ParameterStore, cfg: ModelConfig, layer: int, st: FgState,
     coord_sum = segment_sum(diff * (gate / (dist + 1.0)), edges.dst,
                             n, axis=-2) * Tensor(edges.inv_degree[:, None])
     x_new = ETA * st.x0 + (1.0 - ETA) * st.x + coord_sum
-    if ref_h is None:
-        u = Tensor(np.zeros(lead + (n, D)))
-    else:
-        u = attention(store, f"enc.fg.l{layer}.att", st.h, ref_h)
+    u = _reference_attention(store, f"enc.fg.l{layer}.att", st.h)
     h_in = concat([st.h, m_node, u, st.f], axis=-1)
     h_new = (1.0 - ETA) * st.h + ETA * mlp(
         store, f"{pfx}.phi_h", h_in, D, D)
@@ -132,7 +137,7 @@ def pool_layer(store: ParameterStore, cfg: ModelConfig, layer: int,
 
     diff = take(cg.X, bead_idx, -2) - take(fg.x, atom_idx, -2)
     d2 = (diff * diff).sum(axis=-1, keepdims=True)
-    ones = _const(np.ones((len(atom_idx), 1)), cg.H.shape[:-2])
+    ones = _const(np.ones((len(atom_idx), 1)), cg.H.shape[0])
     m_in = concat([take(cg.H, bead_idx, -2), take(fg.h, atom_idx, -2), d2, ones],
                   axis=-1)
     m_e = mlp(store, f"{pfx}.phi_e", m_in, D, D)
@@ -151,9 +156,10 @@ def pool_layer(store: ParameterStore, cfg: ModelConfig, layer: int,
 
 
 def cg_layer(store: ParameterStore, cfg: ModelConfig, layer: int, st: CgState,
-             edges: EdgeSet, ref_H: Tensor | None) -> CgState:
-    """Point-convolution update of one path's bead features and equivariant
-    channels; ``ref_H`` is as ``ref_h`` of :func:`fg_layer`, after pooling."""
+             edges: EdgeSet) -> CgState:
+    """Point-convolution update of the bead features and equivariant channels
+    of a (K + 1)-path stack; the ground-truth rows attend to the reference
+    row, the last, as in :func:`fg_layer`."""
     D, F = cfg.hidden_dim, cfg.latent_channels
     lead, n_beads = st.H.shape[:-2], st.H.shape[-2]
     pfx = f"enc.main.cg.l{layer}"
@@ -183,10 +189,7 @@ def cg_layer(store: ParameterStore, cfg: ModelConfig, layer: int, st: CgState,
         mh = Tensor(np.zeros(lead + (n_beads, D)))
         mv = Tensor(np.zeros(lead + (n_beads, F, 3)))
 
-    if ref_H is None:
-        u = Tensor(np.zeros(lead + (n_beads, D)))
-    else:
-        u = attention(store, f"enc.cg.l{layer}.att", st.H, ref_H)
+    u = _reference_attention(store, f"enc.cg.l{layer}.att", st.H)
     H_new = (1.0 - ETA) * st.H + ETA * mlp(
         store, f"{pfx}.upd_h", concat([st.H, mh, u], axis=-1), D, D)
     v_new = (1.0 - ETA) * st.v + ETA * vn_mlp(
@@ -200,33 +203,21 @@ def encode(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
     """Encode K >= 0 ground-truth conformers beside one reference conformer.
 
     Returns the K ground-truth latents (Z) and the reference latent (Z~).
-    Each layer runs the fg, pool and cg updates, the ground truths first and
-    the reference last (the order in which a fresh store draws their
-    weights); a ground-truth path attends to the reference's state at the
-    layer's input. K >= 2 ground truths run as one path-stacked call per
-    update. Inputs are centered here.
+    The inputs are centered here and run as one (K + 1)-path stack, the
+    reference last; each layer runs one fg, one pool and one cg update.
     """
-    gts = [center(gt)[0] for gt in gt_list]
-    paths = [center(ref_coords)[0]]
-    if gts:
-        paths.insert(0, gts[0] if len(gts) == 1 else np.stack(gts))
+    coords = np.stack([center(c)[0] for c in [*gt_list, ref_coords]])
     edges = directed_edges(graph)
-    fg = [init_fg_state(store, cfg, graph, c) for c in paths]
-    cg = [init_cg_state(cfg, st, mapping) for st in fg]
+    fg = init_fg_state(store, cfg, graph, coords)
+    cg = init_cg_state(cfg, fg, mapping)
     bead_edges = topology.bead_edges(graph, mapping, cfg.aux_cutoff)
 
     for layer in range(cfg.layers):
-        ref_h = fg[-1].h
-        fg = [fg_layer(store, cfg, layer, st, edges, ref_h) for st in fg[:-1]] + [
-            fg_layer(store, cfg, layer, fg[-1], edges, None)]
-        cg = [pool_layer(store, cfg, layer, f, c, mapping) for f, c in zip(fg, cg)]
-        ref_H = cg[-1].H
-        cg = [cg_layer(store, cfg, layer, st, bead_edges, ref_H) for st in cg[:-1]] + [
-            cg_layer(store, cfg, layer, cg[-1], bead_edges, None)]
-    z_truth = [st.v for st in cg[:-1]]
-    if len(gts) > 1:
-        z_truth = unstack(z_truth[0])
-    return z_truth, cg[-1].v
+        fg = fg_layer(store, cfg, layer, fg, edges)
+        cg = pool_layer(store, cfg, layer, fg, cg, mapping)
+        cg = cg_layer(store, cfg, layer, cg, bead_edges)
+    rows = unstack(cg.v)
+    return rows[:-1], rows[-1]
 
 
 def encode_reference(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,

@@ -1,9 +1,10 @@
-"""Hierarchical twin-path encoder: equivariance, translation invariance,
-one-way information flow between the paths."""
+"""Hierarchical path-stacked encoder: equivariance, translation invariance,
+one-way information flow between the paths, one layer call per update."""
 
 import numpy as np
 import pytest
 
+from coarsegen import encoder
 from coarsegen.encoder import center, encode, encode_reference
 from coarsegen.geometry import random_rotation
 from coarsegen.nn import ModelConfig
@@ -113,6 +114,25 @@ class TestDeterminismAndShapes:
         b = encode(store, cfg, graph, mapping, [gt], ref)
         np.testing.assert_array_equal(a[0][0].data, b[0][0].data)
         np.testing.assert_array_equal(a[1].data, b[1].data)
+
+
+class TestOneStack:
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_one_call_per_update_and_layer(self, k, cfg, store, micro_molecule,
+                                           monkeypatch):
+        """The K truths and the reference run as one stack: each layer makes
+        one fg, one pool and one cg call, whatever K."""
+        graph, mapping, gt, ref = micro_molecule
+        calls = {"fg_layer": 0, "pool_layer": 0, "cg_layer": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(encoder, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(encoder, name, counted)
+        z_gts, z_ref = encode(store, cfg, graph, mapping, [gt + 0.1 * i for i in range(k)],
+                              ref)
+        assert len(z_gts) == k and z_ref.shape == (mapping.n_beads, cfg.latent_channels, 3)
+        assert calls == dict.fromkeys(calls, cfg.layers)
 
 
 @pytest.fixture

@@ -163,12 +163,15 @@ class TestPerMoleculeStep:
 class TestNodeBudget:
     """Tape nodes of ``molecule_loss`` on ``make_corpus(10, 0)`` at epoch 1
     with the default model, summed over the 10 molecules. Nodes are the cost
-    model: each costs about 30 us per step at this scale, whatever the
-    machine's speed. A change that lowers a count lowers its figure here."""
+    model: at this scale a created node costs 6-10 us forward and a
+    reachable one 7-14 us backward (the ``elbo-ar`` and ``ot`` figures, on a
+    2-core x86-64 machine with numpy 2.4.6). A change that lowers a count
+    lowers its figure here."""
 
-    # preset: (created, reachable from the loss); per molecule 830.2 /
-    # 686.2 (ot, its K = 3 paths stacked) and 991.5 / 946.5 (elbo-ar)
-    BUDGET = {"ot": (8302, 6862), "elbo-ar": (9915, 9465)}
+    # preset: (created, reachable from the loss); per molecule 630.2 /
+    # 498.2 (ot: K = 3 truths and the reference in one stack) and
+    # 793.5 / 760.5 (elbo-ar: a 2-path stack)
+    BUDGET = {"ot": (6302, 4982), "elbo-ar": (7935, 7605)}
 
     @staticmethod
     def reachable(out: Tensor) -> int:
@@ -205,21 +208,28 @@ class TestNodeBudget:
 
 
 class TestParameterNamespace:
-    """The names and shapes of the default model's parameters. A checkpoint
-    loads only into a model that asks for the names it holds, so a rename
-    here breaks every saved checkpoint. Each case gives the array count, the
-    value count and the first 16 hex digits of the SHA-256 of the sorted
-    ``name:shape`` lines."""
+    """The names, shapes and initial values of the default model's
+    parameters. A checkpoint loads only into a model that asks for the names
+    it holds, so a rename here breaks every saved checkpoint; a fresh store
+    draws its values in creation order, so a change of that order changes
+    every trained number. Each case gives the array count, the value count,
+    and the first 16 hex digits of the SHA-256 of the sorted ``name:shape``
+    lines and of the values' bytes in that order."""
 
     @staticmethod
-    def summary(store: ParameterStore) -> tuple[int, int, str]:
-        lines = "\n".join(f"{n}:{store[n].data.shape}" for n in store.names())
-        return (len(store.names()), sum(t.data.size for t in store.params.values()),
-                hashlib.sha256(lines.encode()).hexdigest()[:16])
+    def summary(store: ParameterStore) -> tuple[int, int, str, str]:
+        names = store.names()
+        lines = "\n".join(f"{n}:{store[n].data.shape}" for n in names)
+        values = hashlib.sha256()
+        for n in names:
+            values.update(store[n].data.tobytes())
+        return (len(names), sum(t.data.size for t in store.params.values()),
+                hashlib.sha256(lines.encode()).hexdigest()[:16],
+                values.hexdigest()[:16])
 
     @pytest.mark.parametrize("preset,want", [
-        ("elbo-ar", (202, 31382, "44d0b7256249cfa4")),
-        ("ot", (192, 29782, "8fa4a0ba0f9c0d22")),
+        ("elbo-ar", (202, 31382, "44d0b7256249cfa4", "7f6f637e0cfdc873")),
+        ("ot", (192, 29782, "8fa4a0ba0f9c0d22", "398fe8df73de30e7")),
     ])
     def test_training_namespace(self, preset, want):
         store = ParameterStore(seed=3)
@@ -236,7 +246,7 @@ class TestParameterNamespace:
         generate(store, cfg, mol.graph, mol.mapping, mol.ref.coords,
                  topology.bead_order(mol.graph, mol.mapping, cfg.aux_cutoff),
                  np.random.default_rng(0))
-        assert self.summary(store) == (175, 27518, "ab6f1e02eedf7a7f")
+        assert self.summary(store) == (175, 27518, "ab6f1e02eedf7a7f", "8dc9868f48812b90")
 
 
 class TestLearning:
