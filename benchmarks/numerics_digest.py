@@ -145,14 +145,17 @@ def equivcheck() -> tuple[str, dict]:
 
 
 def compare(path_a: str, path_b: str) -> None:
-    """Print each array of ``path_a`` against the same-named one of ``path_b``."""
+    """Print each array of ``path_a`` against the same-named one of ``path_b``.
+    An array only one file has counts as differing."""
     a, b = np.load(path_a), np.load(path_b)
+    keys = list(dict.fromkeys(a.files + b.files))
     tally: Counter = Counter()
-    for key in a.files:
-        x = a[key]
-        if key not in b.files:
+    for key in keys:
+        if key not in a.files:
+            verdict = "missing in the first file"
+        elif key not in b.files:
             verdict = "missing in the second file"
-        elif x.shape != b[key].shape:
+        elif (x := a[key]).shape != b[key].shape:
             verdict = f"shape {x.shape} != {b[key].shape}"
         elif x.tobytes() == b[key].tobytes():
             verdict = "bit-equal"
@@ -163,7 +166,7 @@ def compare(path_a: str, path_b: str) -> None:
         line = key.split("/", 1)[0]
         tally[line, verdict == "bit-equal"] += 1
         print(f"{key}: {verdict}")
-    for line in dict.fromkeys(k.split("/", 1)[0] for k in a.files):
+    for line in dict.fromkeys(k.split("/", 1)[0] for k in keys):
         print(f"{line}: {tally[line, True]} bit-equal, {tally[line, False]} differ")
 
 

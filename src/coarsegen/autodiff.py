@@ -5,14 +5,16 @@ produced it. Calling :func:`backward` on a scalar output accumulates
 gradients into every reachable leaf with ``requires_grad=True``.
 
 The primitive ops are affine arithmetic, matmul (with numpy broadcasting),
-reductions, exp/sqrt, sigmoid, indexing, gathers, concatenation, stacking
-and segment sums. Gathers and segment sums work along any axis, so they
-serve path-stacked arrays (see :mod:`coarsegen.nn`), and :func:`unstack`
-splits such an array into its paths. Blocks the model calls many times per step (softmax here; the MLP,
-affine, vector-neuron and RBF layers in :mod:`coarsegen.nn`) are fused: each
-records one node whose hand-written backward replaces a chain of primitive
-nodes, and whose forward runs the same numpy operations in the same order
-as that chain, so forward values are unchanged.
+reductions, exp/sqrt, sigmoid, gathers (``t[idx]`` is a gather along axis
+0), concatenation, stacking and segment sums. Gathers and segment sums work
+along any axis, so they serve path-stacked arrays (see :mod:`coarsegen.nn`),
+and :func:`unstack` splits such an array into its paths. Blocks the model
+calls many times per step (the MLP, affine, vector-neuron, RBF and
+attention layers in :mod:`coarsegen.nn`, and channel selection in
+:mod:`coarsegen.decoder`) are fused: each records one node whose
+hand-written backward replaces a chain of primitive nodes, and whose
+forward runs the same numpy operations in the same order as that chain, so
+forward values are unchanged.
 
 Inside :func:`no_grad` no op records anything: outputs keep no parents and
 no backward function, so forward-only work (sampling, equivariance checks)
@@ -143,28 +145,14 @@ class Tensor:
         return Tensor(out_data, _parents=(self,),
                       _backward_fn=lambda g: (g.reshape(src_shape),))
 
-    def swapaxes(self, a, b):
-        return Tensor(np.swapaxes(self.data, a, b), _parents=(self,),
-                      _backward_fn=lambda g: (np.swapaxes(g, a, b),))
-
-    @property
-    def T(self):
-        if self.data.ndim != 2:
-            raise ValueError("T only defined for 2-D tensors")
-        return self.swapaxes(0, 1)
-
     def __getitem__(self, idx):
-        if (isinstance(idx, np.ndarray) and idx.ndim == 1
+        """``t[idx]`` for a 1-D integer array: ``take(t, idx)``, a gather
+        along axis 0. No other index is supported."""
+        if not (isinstance(idx, np.ndarray) and idx.ndim == 1
                 and idx.dtype.kind in "iu"):
-            return take(self, idx)
-        src_shape = self.data.shape
-
-        def bw(g):
-            acc = np.zeros(src_shape)
-            np.add.at(acc, idx, g)
-            return (acc,)
-
-        return Tensor(self.data[idx], _parents=(self,), _backward_fn=bw)
+            raise TypeError("a Tensor is indexed only by a 1-D integer array, "
+                            f"got {idx!r}")
+        return take(self, idx)
 
     # -- reductions ----------------------------------------------------------
     def sum(self, axis=None, keepdims=False):
@@ -203,9 +191,6 @@ class Tensor:
         out_data = _sigmoid(self.data)
         return Tensor(out_data, _parents=(self,),
                       _backward_fn=lambda g: (g * out_data * (1.0 - out_data),))
-
-    def silu(self):
-        return self * self.sigmoid()
 
     def clip(self, lo, hi):
         out_data = np.clip(self.data, lo, hi)
@@ -334,18 +319,6 @@ def unstack(t: Tensor) -> list[Tensor]:
         return Tensor(t.data[k], _parents=(hub,), _backward_fn=bw)
 
     return [row(k) for k in range(len(t.data))]
-
-
-def softmax(t: Tensor, axis=-1) -> Tensor:
-    """Max-shifted softmax along ``axis``, as one tape node."""
-    t = as_tensor(t)
-    e = np.exp(t.data - t.data.max(axis=axis, keepdims=True))
-    out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def bw(g):
-        return (out_data * (g - (g * out_data).sum(axis=axis, keepdims=True)),)
-
-    return Tensor(out_data, _parents=(t,), _backward_fn=bw)
 
 
 @contextlib.contextmanager

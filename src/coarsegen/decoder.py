@@ -1,6 +1,6 @@
-"""Backmapping decoder: aggregated-attention channel selection followed by
-block-wise coordinate refinement, one block per bead in decode order
-(autoregressive) or one block of every atom (single pass).
+"""Backmapping decoder: aggregated-attention channel selection (one fused
+tape node) followed by block-wise coordinate refinement, one block per bead
+in decode order (autoregressive) or one block of every atom (single pass).
 
 Refinement predicts a distortion of the reference conformer: every layer
 re-anchors coordinates at the reference, so zeroed update networks return
@@ -18,7 +18,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import topology
-from .autodiff import Tensor, concat, no_grad, segment_sum, softmax, take
+from .autodiff import Tensor, concat, no_grad, segment_sum, take
 from .coarsen import CGMapping
 from .encoder import center, encode_reference
 from .latent import prior_params, sample
@@ -35,24 +35,41 @@ def channel_selection(z: Tensor, mapping: CGMapping,
     and values are the bead's latent channels (embedding dimension 3, scale
     1/sqrt(3)). Output rows land at the atoms' global indices. A
     path-stacked ``z`` gives one (atoms, 3) slice per path.
+
+    One tape node for every bead and path. The forward runs, bead by bead,
+    the numpy operations of a matmul, scale, max-shifted softmax and matmul
+    chain. The backward folds each bead's value partial before its key
+    partial and adds the sum into zeros, as that chain's tape did, so
+    forward values and gradients are the chain's bit for bit, signed zeros
+    included.
     """
     if z.shape[-3] != mapping.n_beads:
         raise ValueError("latent bead count does not match mapping")
     ref_coords = np.asarray(ref_coords, dtype=np.float64)
-    lead = (slice(None),) * (z.ndim - 3)
-    pieces = []
-    member_order = []
+    out = np.empty(z.shape[:-3] + (len(mapping.assignment), 3))
+    saved = []
     for bead in range(mapping.n_beads):
         members = sorted(mapping.members[bead])
-        member_order.extend(members)
-        q = Tensor(ref_coords[members])            # n_I x 3
-        keys = z[lead + (bead,)]                   # (..., F, 3)
-        scores = (q @ keys.swapaxes(-1, -2)) / np.sqrt(3.0)
-        weights = softmax(scores, axis=-1)
-        pieces.append(weights @ keys)
-    stacked = concat(pieces, axis=-2)
-    inverse = np.argsort(np.asarray(member_order, dtype=np.intp))
-    return take(stacked, inverse, -2)
+        q = ref_coords[members]                    # n_I x 3
+        keys = z.data[..., bead, :, :]             # (..., F, 3)
+        scores = np.matmul(q, np.swapaxes(keys, -1, -2)) / np.sqrt(3.0)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        w = e / e.sum(axis=-1, keepdims=True)
+        out[..., members, :] = np.matmul(w, keys)
+        saved.append((members, q, keys, w))
+
+    def bw(g):
+        g_z = np.zeros(z.shape)
+        for bead, (members, q, keys, w) in enumerate(saved):
+            g_b = g[..., members, :]
+            g_w = np.matmul(g_b, np.swapaxes(keys, -1, -2))
+            g_s = w * (g_w - (g_w * w).sum(axis=-1, keepdims=True)) / np.sqrt(3.0)
+            # value partial, then key partial, added into zeros: no -0.0
+            g_z[..., bead, :, :] += (np.matmul(np.swapaxes(w, -1, -2), g_b)
+                                     + np.swapaxes(np.matmul(q.T, g_s), -1, -2))
+        return (g_z,)
+
+    return Tensor(out, _parents=(z,), _backward_fn=bw)
 
 
 def _refine(store: ParameterStore, cfg: ModelConfig, x0: Tensor, x_ref: Tensor,

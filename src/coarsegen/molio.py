@@ -106,9 +106,6 @@ class MolecularGraph:
             return np.zeros((0, FEATURE_DIM))
         return np.stack([a.feature_vector for a in self.atoms])
 
-    def bonded_pairs(self) -> set[tuple[int, int]]:
-        return {b.pair for b in self.bonds}
-
     def adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in self.atoms]
         for b in self.bonds:

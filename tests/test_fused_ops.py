@@ -8,7 +8,9 @@ bit and creates its parameters in the same order."""
 import numpy as np
 import pytest
 
-from coarsegen.autodiff import Tensor, backward, softmax
+from coarsegen.autodiff import Tensor, backward
+from coarsegen.corpus import make_corpus
+from coarsegen.decoder import channel_selection
 from coarsegen.encoder import encode, encode_reference
 from coarsegen.nn import (_VN_EPS, affine, attention, mlp, rbf_expand, vn_mlp, vn_nonlin,
                           vn_norms)
@@ -72,7 +74,8 @@ class TestMlp:
         x = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
         out = mlp(store, "m", x, 7, 3)
         w0, b0, w1, b1 = (store[f"m.{n}"] for n in ("w0", "b0", "w1", "b1"))
-        want = (x @ w0 + b0).silu() @ w1 + b1
+        pre = x @ w0 + b0
+        want = (pre * pre.sigmoid()) @ w1 + b1      # silu(pre) @ w1 + b1
         assert np.array_equal(out.data, want.data)
 
     def test_gradcheck(self, store, rng):
@@ -177,23 +180,53 @@ class TestRbfExpand:
         assert tape_nodes(out) == 2
 
 
-class TestSoftmax:
-    def test_forward_matches_primitive_chain(self, rng):
-        t = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
-        for axis in (0, 1):
-            shifted = t - Tensor(t.data.max(axis=axis, keepdims=True))
-            e = shifted.exp()
-            want = e / e.sum(axis=axis, keepdims=True)
-            assert np.array_equal(softmax(t, axis=axis).data, want.data)
+class TestChannelSelection:
+    """Aggregated attention over a molecule whose beads have one to ten
+    members, not in atom order."""
 
-    def test_gradcheck(self, store, rng):
-        for axis in (0, 1):
-            check_grads(lambda t: softmax(t, axis=axis),
-                        rng.standard_normal((4, 6)), store, rng)
+    F = 4
 
-    def test_one_node(self, rng):
-        t = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
-        assert tape_nodes(softmax(t, axis=1)) == 1
+    @pytest.fixture
+    def mol(self):
+        return make_corpus(1, 0)[0]
+
+    def latent(self, mol, rng, lead=()):
+        return rng.standard_normal(lead + (mol.mapping.n_beads, self.F, 3))
+
+    def test_forward_matches_per_bead_numpy(self, mol, rng):
+        z = self.latent(mol, rng)
+        ref = mol.ref.coords
+        want = np.empty((len(mol.mapping.assignment), 3))
+        for bead in range(mol.mapping.n_beads):
+            members = sorted(mol.mapping.members[bead])
+            scores = np.matmul(ref[members], z[bead].T) / np.sqrt(3.0)
+            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            want[members] = np.matmul(e / e.sum(axis=-1, keepdims=True), z[bead])
+        out = channel_selection(Tensor(z), mol.mapping, ref)
+        assert np.array_equal(out.data, want)
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_gradcheck(self, mol, store, rng, lead):
+        check_grads(lambda t: channel_selection(t, mol.mapping, mol.ref.coords),
+                    self.latent(mol, rng, lead), store, rng)
+
+    def test_path_stack_equals_single_paths(self, mol, rng):
+        zs = self.latent(mol, rng, (3,))
+        stacked = Tensor(zs, requires_grad=True)
+        out = channel_selection(stacked, mol.mapping, mol.ref.coords)
+        w = rng.standard_normal(out.shape)
+        backward((out * Tensor(w)).sum())
+        for k in range(3):
+            z = Tensor(zs[k], requires_grad=True)
+            out_k = channel_selection(z, mol.mapping, mol.ref.coords)
+            assert np.array_equal(out_k.data, out.data[k])
+            backward((out_k * Tensor(w[k])).sum())
+            assert np.array_equal(z.grad, stacked.grad[k])
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_one_node(self, mol, rng, lead):
+        z = Tensor(self.latent(mol, rng, lead), requires_grad=True)
+        assert tape_nodes(channel_selection(z, mol.mapping, mol.ref.coords)) == 1
 
 
 class TestPathStacking:

@@ -233,7 +233,7 @@ class TestBuildGraph:
         bonds = [Bond(i, i + 1) for i in range(11)]
         coords = rng.uniform(0, 6, size=(12, 3))
         graph = build_graph(atoms, bonds, Conformer(coords), 4.0)
-        bonded = graph.bonded_pairs()
+        bonded = {b.pair for b in graph.bonds}
         for i, j in graph.aux_edges:
             assert (i, j) not in bonded
             assert np.linalg.norm(coords[i] - coords[j]) <= 4.0

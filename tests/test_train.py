@@ -168,10 +168,11 @@ class TestNodeBudget:
     2-core x86-64 machine with numpy 2.4.6). A change that lowers a count
     lowers its figure here."""
 
-    # preset: (created, reachable from the loss); per molecule 630.2 /
-    # 498.2 (ot: K = 3 truths and the reference in one stack) and
-    # 793.5 / 760.5 (elbo-ar: a 2-path stack)
-    BUDGET = {"ot": (6302, 4982), "elbo-ar": (7935, 7605)}
+    # preset: (created, reachable from the loss); per molecule 601.0 /
+    # 469.0 (ot: K = 3 truths and the reference in one stack) and
+    # 764.3 / 731.3 (elbo-ar: a 2-path stack); channel selection is one
+    # node per decode
+    BUDGET = {"ot": (6010, 4690), "elbo-ar": (7643, 7313)}
 
     @staticmethod
     def reachable(out: Tensor) -> int:
