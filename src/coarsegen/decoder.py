@@ -9,6 +9,11 @@ mixing through vector-neuron norms, keeping the whole decoder equivariant.
 
 A single-block decode also takes a path-stacked latent, (K, beads, F, 3),
 and decodes the K draws in one call (see :mod:`coarsegen.nn`).
+
+Only later blocks read a block's features, so the last layer of the last
+block (of the one block in a single pass) skips its feature update, but
+still creates that update's parameters, in the same order, so a fresh
+store draws the same values.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from .coarsen import CGMapping
 from .encoder import center, encode_reference
 from .latent import prior_params, sample
 from .molio import Conformer, MolecularGraph
-from .nn import ETA, ModelConfig, affine, attention, mlp, vn_mlp, vn_norms
+from .nn import (ETA, ModelConfig, affine, attention, attention_params, mlp, mlp_params,
+                 vn_mlp, vn_norms)
 from .params import ParameterStore
 
 
@@ -74,8 +80,12 @@ def channel_selection(z: Tensor, mapping: CGMapping,
 
 def _refine(store: ParameterStore, cfg: ModelConfig, x0: Tensor, x_ref: Tensor,
             h0: Tensor, edges, prev_coords: Tensor | None,
-            prev_h: Tensor | None) -> tuple[Tensor, Tensor]:
-    """Stacked distortion-learning message passing over one atom subset."""
+            prev_h: Tensor | None, keep_h: bool) -> tuple[Tensor, Tensor | None]:
+    """Stacked distortion-learning message passing over one atom subset.
+
+    Without ``keep_h`` (no later block reads this block's features) the
+    last layer skips the feature update and returns ``h`` None; it still
+    creates that update's parameters, in the same order."""
     D = cfg.hidden_dim
     src, dst, inv_deg = edges
     lead, s = x0.shape[:-2], x0.shape[-2]
@@ -100,20 +110,27 @@ def _refine(store: ParameterStore, cfg: ModelConfig, x0: Tensor, x_ref: Tensor,
         m_in = concat([take(h_mix, dst, -2), take(h_mix, src, -2), d2, d2ref_j, d2ref_i],
                       axis=-1)
         m_e = mlp(store, f"{pfx}.phi_e", m_in, D, D)
-        m_node = segment_sum(m_e, dst, s, axis=-2) * Tensor(inv_deg[:, None])
-
-        if prev_h is not None:
-            u = attention(store, f"{pfx}.att", h_mix, prev_h)
-        else:
-            u = Tensor(np.zeros(lead + (s, D)))
+        update_h = keep_h or layer < cfg.layers - 1
+        if update_h:
+            m_node = segment_sum(m_e, dst, s, axis=-2) * Tensor(inv_deg[:, None])
+            if prev_h is not None:
+                u = attention(store, f"{pfx}.att", h_mix, prev_h)
+            else:
+                u = Tensor(np.zeros(lead + (s, D)))
+        elif prev_h is not None:
+            attention_params(store, f"{pfx}.att", D, D)
 
         gate = mlp(store, f"{pfx}.phi_x", m_e, D, 1)
         dist = (d2 + 1e-12).sqrt()
         x = x_ref + segment_sum(diff * (gate / (dist + 1.0)), dst,
                                 s, axis=-2) * Tensor(inv_deg[:, None])
-        h_in = concat([h_mix, m_node, u, h0], axis=-1)
-        h = (1.0 - ETA) * h + ETA * mlp(
-            store, f"{pfx}.phi_h", h_in, D, D)
+        if update_h:
+            h_in = concat([h_mix, m_node, u, h0], axis=-1)
+            h = (1.0 - ETA) * h + ETA * mlp(
+                store, f"{pfx}.phi_h", h_in, D, D)
+        else:
+            mlp_params(store, f"{pfx}.phi_h", 4 * D, D, D)
+            h = None
     return x, h
 
 
@@ -170,11 +187,11 @@ def decode(store: ParameterStore, cfg: ModelConfig, z: Tensor,
         # every atom in atom order: nothing to gather or reorder
         edges = topology.local_edges(graph, atoms)
         return _refine(store, cfg, x_cs, Tensor(ref_coords), h0_all, edges,
-                       None, None)[0]
+                       None, None, False)[0]
     coord_blocks: list[Tensor] = []
     h_blocks: list[Tensor] = []
     done = 0
-    for block in blocks:
+    for b, block in enumerate(blocks):
         idx = np.asarray(block, dtype=np.intp)
         prev_coords = prev_h = None
         if done:
@@ -185,7 +202,7 @@ def decode(store: ParameterStore, cfg: ModelConfig, z: Tensor,
             prev_h = concat(h_blocks, axis=0)
         coords, h = _refine(store, cfg, x_cs[idx], Tensor(ref_coords[idx]),
                             h0_all[idx], topology.local_edges(graph, block),
-                            prev_coords, prev_h)
+                            prev_coords, prev_h, b < len(blocks) - 1)
         coord_blocks.append(coords)
         h_blocks.append(h)
         done += len(block)
@@ -202,10 +219,14 @@ def generate_ensemble(store: ParameterStore, cfg: ModelConfig, graph: MolecularG
 
     The reference is encoded and the prior computed once; the draws use
     ``rng`` in turn, so the result equals ``num`` successive :func:`generate`
-    calls. ``noise`` (num x beads x channels x 3) overrides the drawn eps.
-    The draws record no tape (see :func:`~coarsegen.autodiff.no_grad`).
+    calls. ``noise`` (num x beads x channels x 3) overrides the drawn eps;
+    another shape raises ``ValueError``. The draws record no tape (see
+    :func:`~coarsegen.autodiff.no_grad`).
     """
     blocks = decode_blocks(mapping, mode, order)
+    want = (num, mapping.n_beads, cfg.latent_channels, 3)
+    if noise is not None and np.shape(noise) != want:
+        raise ValueError(f"noise must have shape {want}, got {np.shape(noise)}")
     ref_c, centroid = center(np.asarray(ref_coords))
     out = []
     with no_grad():

@@ -10,7 +10,10 @@ layer function runs all of them in one call with the same weights (see
 each ground-truth row, so the reference latent never depends on
 ground-truth coordinates and the ground-truth paths never see each other.
 The output per path is an equivariant latent tensor of shape
-(beads, channels, 3). Below, P = K + 1 is the number of paths.
+(beads, channels, 3), so the last layer skips the bead-feature update that
+nothing reads; it still creates that update's parameters, in the same
+order, so a fresh store draws the same values. Below, P = K + 1 is the
+number of paths.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from . import topology
 from .autodiff import Tensor, concat, segment_sum, take, unstack
 from .coarsen import CGMapping
 from .molio import MolecularGraph
-from .nn import (ETA, RBF_CENTERS, RBF_WIDTH, ModelConfig, affine, attention, mlp,
-                 rbf_expand, vn_mlp, vn_norms)
+from .nn import (ETA, RBF_CENTERS, RBF_WIDTH, ModelConfig, affine, affine_params,
+                 attention, attention_params, mlp, mlp_params, rbf_expand, vn_mlp,
+                 vn_mlp_params, vn_norms)
 from .params import ParameterStore
 from .topology import EdgeSet, directed_edges
 
@@ -48,7 +52,7 @@ class FgState:
 
 @dataclass
 class CgState:
-    H: Tensor        # P x N x D invariant bead features
+    H: Tensor | None  # P x N x D invariant bead features; None after the last cg layer
     X: Tensor        # P x N x 3 bead coordinates
     X0: Tensor       # P x N x 3 anchor
     H0: Tensor       # P x N x D original pooled features
@@ -159,14 +163,25 @@ def cg_layer(store: ParameterStore, cfg: ModelConfig, layer: int, st: CgState,
              edges: EdgeSet) -> CgState:
     """Point-convolution update of the bead features and equivariant channels
     of a (K + 1)-path stack; the ground-truth rows attend to the reference
-    row, the last, as in :func:`fg_layer`."""
+    row, the last, as in :func:`fg_layer`.
+
+    :func:`encode` returns only the channels, so the last layer skips the
+    bead-feature update and the branch only it reads (``vn1``/``phi1``,
+    ``ker1``, their message sum and the attention) and returns ``H`` None.
+    It still creates their parameters, in the same order.
+    """
     D, F = cfg.hidden_dim, cfg.latent_channels
     lead, n_beads = st.H.shape[:-2], st.H.shape[-2]
     pfx = f"enc.main.cg.l{layer}"
+    last = layer == cfg.layers - 1
     # equivariant/invariant feature mixing
-    h1 = mlp(store, f"{pfx}.phi1",
-             concat([st.H, vn_norms(vn_mlp(store, f"{pfx}.vn1", st.v, F, F))], axis=-1),
-             D, D)
+    if last:
+        vn_mlp_params(store, f"{pfx}.vn1", F, F, F)
+        mlp_params(store, f"{pfx}.phi1", D + F, D, D)
+    else:
+        h1 = mlp(store, f"{pfx}.phi1",
+                 concat([st.H, vn_norms(vn_mlp(store, f"{pfx}.vn1", st.v, F, F))],
+                        axis=-1), D, D)
     h2 = mlp(store, f"{pfx}.phi2",
              concat([st.H, vn_norms(vn_mlp(store, f"{pfx}.vn2", st.v, F, F))], axis=-1),
              D, F)
@@ -176,22 +191,30 @@ def cg_layer(store: ParameterStore, cfg: ModelConfig, layer: int, st: CgState,
     if len(edges.src):
         r = take(st.X, edges.dst, -2) - take(st.X, edges.src, -2)
         dist = ((r * r).sum(axis=-1) + _DIST_EPS).sqrt()
-        k1 = rbf_expand(store, f"{pfx}.ker1", dist, RBF_CENTERS, RBF_WIDTH, D)
+        if last:
+            affine_params(store, f"{pfx}.ker1", len(RBF_CENTERS), D)
+        else:
+            k1 = rbf_expand(store, f"{pfx}.ker1", dist, RBF_CENTERS, RBF_WIDTH, D)
+            mh = segment_sum(k1 * take(h1, edges.src, -2), edges.dst, n_beads, axis=-2)
         k2 = rbf_expand(store, f"{pfx}.ker2", dist, RBF_CENTERS, RBF_WIDTH, F)
         k3 = rbf_expand(store, f"{pfx}.ker3", dist, RBF_CENTERS, RBF_WIDTH, F)
-        mh_e = k1 * take(h1, edges.src, -2)
         mv_e = (k2.reshape(k2.shape + (1,)) * take(v1, edges.src, -3)
                 + (k3 * take(h2, edges.src, -2)).reshape(k3.shape + (1,))
                 * r.reshape(r.shape[:-1] + (1, 3)))
-        mh = segment_sum(mh_e, edges.dst, n_beads, axis=-2)
         mv = segment_sum(mv_e, edges.dst, n_beads, axis=-3)
     else:
         mh = Tensor(np.zeros(lead + (n_beads, D)))
         mv = Tensor(np.zeros(lead + (n_beads, F, 3)))
 
-    u = _reference_attention(store, f"enc.cg.l{layer}.att", st.H)
-    H_new = (1.0 - ETA) * st.H + ETA * mlp(
-        store, f"{pfx}.upd_h", concat([st.H, mh, u], axis=-1), D, D)
+    if last:
+        if len(st.H.data) > 1:     # as in _reference_attention
+            attention_params(store, f"enc.cg.l{layer}.att", D, D)
+        mlp_params(store, f"{pfx}.upd_h", 3 * D, D, D)
+        H_new = None
+    else:
+        u = _reference_attention(store, f"enc.cg.l{layer}.att", st.H)
+        H_new = (1.0 - ETA) * st.H + ETA * mlp(
+            store, f"{pfx}.upd_h", concat([st.H, mh, u], axis=-1), D, D)
     v_new = (1.0 - ETA) * st.v + ETA * vn_mlp(
         store, f"{pfx}.vn4", concat([st.v, mv], axis=-2), F, F)
     return CgState(H=H_new, X=st.X, X0=st.X0, H0=st.H0, v=v_new)

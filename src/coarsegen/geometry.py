@@ -34,13 +34,8 @@ def kabsch_align(p: np.ndarray, q: np.ndarray) -> Alignment:
     if m < 1:
         raise ValueError("need at least one point")
 
-    pc = p.mean(axis=0)
-    qc = q.mean(axis=0)
-    h = (p - pc).T @ (q - qc)
-    u, s, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    corr = np.diag([1.0, 1.0, d])
-    rot = vt.T @ corr @ u.T
+    rot, pc, qc, s = _kabsch_rotation(p, q)
+    pc, qc = pc[0], qc[0]
     trans = qc - rot @ pc
 
     aligned = (p - pc) @ rot.T + qc
@@ -49,6 +44,25 @@ def kabsch_align(p: np.ndarray, q: np.ndarray) -> Alignment:
     tol = max(s[0], 1.0) * 1e-10
     unique = np.sum(s > tol) >= 2
     return Alignment(rot, trans, rmsd, unique)
+
+
+def _kabsch_rotation(p: np.ndarray, q: np.ndarray):
+    """Kabsch rotation of ``p`` onto ``q`` for (..., m, 3) stacks, which
+    broadcast against each other: (rotation, centroid of ``p``, centroid of
+    ``q``, singular values), the centroids with the point axis kept.
+
+    Each slice runs the numpy operations of a single (m, 3) pair, so it is
+    bit-equal to the unstacked call.
+    """
+    pc = p.mean(axis=-2, keepdims=True)
+    qc = q.mean(axis=-2, keepdims=True)
+    h = np.matmul(np.swapaxes(p - pc, -1, -2), q - qc)
+    u, s, vt = np.linalg.svd(h)
+    v, ut = np.swapaxes(vt, -1, -2), np.swapaxes(u, -1, -2)
+    corr = np.zeros(h.shape)
+    corr[..., 0, 0] = corr[..., 1, 1] = 1.0
+    corr[..., 2, 2] = np.sign(np.linalg.det(np.matmul(v, ut)))
+    return np.matmul(np.matmul(v, corr), ut), pc, qc, s
 
 
 def aligned_rmsd(p: np.ndarray, q: np.ndarray) -> float:

@@ -50,10 +50,13 @@ def sample(g: GaussianLatent, rng: np.random.Generator,
     """Reparameterized draw mu + eps * sigma.
 
     ``noise`` overrides the drawn eps (used by equivariance checks, which
-    must co-rotate the noise with the inputs).
+    must co-rotate the noise with the inputs); it must have the shape of
+    the mean, or ``ValueError`` names both shapes.
     """
     if noise is None:
         noise = rng.standard_normal(g.mu.shape)
+    elif np.shape(noise) != g.mu.shape:
+        raise ValueError(f"noise must have shape {g.mu.shape}, got {np.shape(noise)}")
     sigma = (g.log_var * 0.5).exp()
     n, f = sigma.shape
     return g.mu + Tensor(noise) * sigma.reshape(n, f, 1)

@@ -5,7 +5,9 @@ The transport plan comes from an exact assignment solve (a numpy Hungarian
 method, no LP solver) and is treated as a constant during backpropagation;
 gradients flow through the pairwise costs only. The Kabsch alignment inside
 the reconstruction term is likewise held fixed, which is exact at the
-alignment optimum (envelope theorem).
+alignment optimum (envelope theorem). The OT loss is one tape node over the
+stacked K x L cost matrix, and its backward runs only the pairs the plan
+weighs.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import topology
-from .autodiff import Tensor, as_tensor
-from .geometry import kabsch_align
+from .autodiff import Tensor, _scatter_rows, as_tensor, stack
+from .geometry import _kabsch_rotation, kabsch_align
 from .molio import MolecularGraph
 
 _NORM_EPS = 1e-12
@@ -157,25 +159,72 @@ def emd_solve(cost: np.ndarray) -> tuple[TransportPlan, float]:
     return TransportPlan(plan), float(np.sum(plan * cost))
 
 
-def pairwise_cost(generated, truth, graph: MolecularGraph) -> list[list[Tensor]]:
-    """Per-pair cost aligned_mse + distance_loss as differentiable tensors."""
-    return [[aligned_mse(g, t) + distance_loss(g, t, graph) for t in truth]
-            for g in generated]
-
-
 def ot_loss(generated, truth, graph: MolecularGraph) -> tuple[Tensor, TransportPlan]:
     """Optimal-transport matching loss between two conformer ensembles.
 
-    ``generated`` may contain tape tensors (gradients flow through the
-    costs); ``truth`` entries are plain coordinate arrays.
+    ``generated`` is a (K, atoms, 3) path stack, or a list of (atoms, 3)
+    conformers, which is stacked first; ``truth`` holds L plain coordinate
+    arrays. Pair (k, l) costs ``aligned_mse + distance_loss`` of generated
+    k against truth l, and the loss is the transport plan's weighted sum of
+    the costs, folded over the nonzero weights in row-major order.
+
+    One tape node. The forward computes all K x L costs in one stacked pass
+    whose slices run the numpy operations of the per-pair functions, so the
+    costs, the plan and the loss are theirs bit for bit. The backward runs
+    only the pairs the plan weighs, and folds each row's partials in the
+    order a tape of per-pair chains adds them: pair by pair in column
+    order, each pair's alignment partial before the scatters of its two
+    distance gathers. Its gradients are that tape's bit for bit.
     """
-    costs = pairwise_cost(generated, truth, graph)
-    cost_values = np.array([[float(c.data) for c in row] for row in costs])
-    plan, _ = emd_solve(cost_values)
-    total = Tensor(0.0)
-    for ki, row in enumerate(costs):
-        for li, c in enumerate(row):
-            w = plan.matrix[ki, li]
-            if w != 0.0:
-                total = total + w * c
-    return total, plan
+    if not isinstance(generated, Tensor):
+        generated = stack(generated)
+    x = generated.data
+    truth = np.stack([np.asarray(t.data if isinstance(t, Tensor) else t,
+                                 dtype=np.float64) for t in truth])
+    n = x.shape[1]
+    # alignment term: truth l optimally aligned onto generated k, (K, L, n, 3)
+    rot, pc, qc, _ = _kabsch_rotation(truth[None], x[:, None])
+    trans = qc - np.swapaxes(np.matmul(rot, np.swapaxes(pc, -1, -2)), -1, -2)
+    diff = x[:, None] - (np.matmul(truth, np.swapaxes(rot, -1, -2)) + trans)
+    cost = (diff * diff).sum(axis=-1).sum(axis=-1) / float(n)
+    # distance term over the 1/2-hop pairs, from C-ordered (K or L, P, 3) gathers
+    i, j = topology.hop12_index(graph)
+    if len(i):
+        dx = x.take(i, axis=1) - x.take(j, axis=1)
+        dist = np.sqrt((dx * dx).sum(axis=-1) + _NORM_EPS)
+        dt = truth.take(i, axis=1) - truth.take(j, axis=1)
+        delta = dist[:, None] - np.sqrt((dt ** 2).sum(axis=-1))
+        cost = cost + (delta * delta).sum(axis=-1) / float(len(i))
+    plan, _ = emd_solve(cost)
+    live_k, live_l = np.nonzero(plan.matrix)
+    weights = plan.matrix[live_k, live_l]
+    total = np.float64(0.0)
+    for c, w in zip(cost[live_k, live_l], weights):
+        total = total + c * w
+
+    def bw(g):
+        # each live pair's partials, formed as the per-pair ops form them:
+        # the cost's gradient g * w through the means, and each square's
+        # two mul partials added
+        gw = g * weights
+        ga = (gw / float(n))[:, None, None] * diff[live_k, live_l]
+        parts = [ga + ga]
+        if len(i):
+            gd = (gw / float(len(i)))[:, None] * delta[live_k, live_l]
+            gd = (gd + gd) / (2.0 * dist[live_k])
+            gd = gd[..., None] * dx[live_k]
+            gd = gd + gd
+            parts += [_scatter_rows(gd, i, n, 1), _scatter_rows(-gd, j, n, 1)]
+        # rank of each live pair within its row; every row has rank 0
+        rank = np.arange(len(live_k)) - np.searchsorted(live_k, live_k)
+        out = np.empty(x.shape)
+        for r in range(rank.max() + 1):
+            at = rank == r
+            rows = live_k[at]
+            acc = parts[0][at] if r == 0 else out[rows] + parts[0][at]
+            for part in parts[1:]:
+                acc = acc + part[at]
+            out[rows] = acc
+        return (out,)
+
+    return Tensor(total, _parents=(generated,), _backward_fn=bw), plan

@@ -3,7 +3,10 @@ learned RBF expansions and scaled dot-product attention.
 
 All blocks read their weights from a :class:`~coarsegen.params.ParameterStore`
 under a caller-supplied name prefix; creating and applying a block are the
-same call, so parameters materialize lazily on first use.
+same call, so parameters materialize lazily on first use. ``mlp_params``,
+``affine_params``, ``vn_mlp_params`` and ``attention_params`` create a
+block's weights alone, in its order: the blocks call them, and so does a
+caller that skips a block nothing reads.
 
 ``mlp``, ``affine``, ``vn_linear``, ``vn_nonlin``, ``vn_norms`` and the
 Gaussian basis of ``rbf_expand`` are fused: each records one tape node with
@@ -84,14 +87,21 @@ def _bias_grad(g: np.ndarray) -> np.ndarray:
     return g.sum(axis=-2)
 
 
+def mlp_params(store: ParameterStore, prefix: str, d_in: int, d_hidden: int,
+               d_out: int) -> tuple[Tensor, ...]:
+    """The weights of :func:`mlp`, created (or fetched) in its order. A
+    caller that skips an unread block still calls this, so that a fresh
+    store draws every later parameter's values as before."""
+    return (store.new(f"{prefix}.w0", (d_in, d_hidden), fan_in=d_in),
+            store.new(f"{prefix}.b0", (d_hidden,), fan_in=d_in),
+            store.new(f"{prefix}.w1", (d_hidden, d_out), fan_in=d_hidden),
+            store.new(f"{prefix}.b1", (d_out,), fan_in=d_hidden))
+
+
 def mlp(store: ParameterStore, prefix: str, x: Tensor,
         d_hidden: int, d_out: int) -> Tensor:
     """Two affine layers with a SiLU between them, as one tape node."""
-    d_in = x.shape[-1]
-    w0 = store.new(f"{prefix}.w0", (d_in, d_hidden), fan_in=d_in)
-    b0 = store.new(f"{prefix}.b0", (d_hidden,), fan_in=d_in)
-    w1 = store.new(f"{prefix}.w1", (d_hidden, d_out), fan_in=d_hidden)
-    b1 = store.new(f"{prefix}.b1", (d_out,), fan_in=d_hidden)
+    w0, b0, w1, b1 = mlp_params(store, prefix, x.shape[-1], d_hidden, d_out)
     paths = _paths(x.data, 2)
     pre = np.matmul(x.data, w0.data)
     pre += b0.data
@@ -112,11 +122,19 @@ def mlp(store: ParameterStore, prefix: str, x: Tensor,
                   _backward_fn=bw)
 
 
+def affine_params(store: ParameterStore, prefix: str, d_in: int,
+                  d_out: int) -> tuple[Tensor, Tensor]:
+    """The weights of :func:`affine`, as :func:`mlp_params`."""
+    return (store.new(f"{prefix}.w", (d_in, d_out), fan_in=d_in),
+            store.new(f"{prefix}.b", (d_out,), fan_in=d_in))
+
+
 def affine(store: ParameterStore, prefix: str, x: Tensor, d_out: int) -> Tensor:
     """``x @ w + b`` as one tape node."""
-    d_in = x.shape[-1]
-    w = store.new(f"{prefix}.w", (d_in, d_out), fan_in=d_in)
-    b = store.new(f"{prefix}.b", (d_out,), fan_in=d_in)
+    return _affine(x, *affine_params(store, prefix, x.shape[-1], d_out))
+
+
+def _affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     paths = _paths(x.data, 2)
     out_data = np.matmul(x.data, w.data)
     out_data += b.data
@@ -128,11 +146,19 @@ def affine(store: ParameterStore, prefix: str, x: Tensor, d_out: int) -> Tensor:
     return Tensor(out_data, _parents=(x,) + (w, b) * max(paths, 1), _backward_fn=bw)
 
 
+def _vn_weight(store: ParameterStore, name: str, f_in: int, f_out: int) -> Tensor:
+    """The (f_out, f_in) channel map of :func:`vn_linear`; :func:`vn_nonlin`'s
+    directions are one with f_in = f_out."""
+    return store.new(name, (f_out, f_in), fan_in=f_in)
+
+
 def vn_linear(store: ParameterStore, name: str, v: Tensor, f_out: int) -> Tensor:
     """Channel-mixing linear map acting on the left of (..., F, 3) features,
     as one tape node."""
-    f_in = v.shape[-2]
-    w = store.new(name, (f_out, f_in), fan_in=f_in)
+    return _vn_linear(v, _vn_weight(store, name, v.shape[-2], f_out))
+
+
+def _vn_linear(v: Tensor, w: Tensor) -> Tensor:
     paths = _paths(v.data, 3)
 
     def bw(g):
@@ -152,8 +178,10 @@ def vn_nonlin(store: ParameterStore, name: str, v: Tensor) -> Tensor:
     projected onto the plane orthogonal to that direction; the map commutes
     with right-rotation of the 3-vectors.
     """
-    f = v.shape[-2]
-    u = store.new(name, (f, f), fan_in=f)
+    return _vn_nonlin(v, _vn_weight(store, name, v.shape[-2], v.shape[-2]))
+
+
+def _vn_nonlin(v: Tensor, u: Tensor) -> Tensor:
     paths = _paths(v.data, 3)
     vd, ud = v.data, u.data
     d = np.matmul(ud, vd)
@@ -176,12 +204,19 @@ def vn_nonlin(store: ParameterStore, name: str, v: Tensor) -> Tensor:
     return Tensor(out_data, _parents=(v,) + (u,) * max(paths, 1), _backward_fn=bw)
 
 
+def vn_mlp_params(store: ParameterStore, prefix: str, f_in: int, f_hidden: int,
+                  f_out: int) -> tuple[Tensor, Tensor, Tensor]:
+    """The weights of :func:`vn_mlp`, as :func:`mlp_params`."""
+    return (_vn_weight(store, f"{prefix}.w0", f_in, f_hidden),
+            _vn_weight(store, f"{prefix}.u", f_hidden, f_hidden),
+            _vn_weight(store, f"{prefix}.w1", f_hidden, f_out))
+
+
 def vn_mlp(store: ParameterStore, prefix: str, v: Tensor,
            f_hidden: int, f_out: int) -> Tensor:
     """Two vector-neuron linear maps with the projection nonlinearity between."""
-    h = vn_linear(store, f"{prefix}.w0", v, f_hidden)
-    h = vn_nonlin(store, f"{prefix}.u", h)
-    return vn_linear(store, f"{prefix}.w1", h, f_out)
+    w0, u, w1 = vn_mlp_params(store, prefix, v.shape[-2], f_hidden, f_out)
+    return _vn_linear(_vn_nonlin(_vn_linear(v, w0), u), w1)
 
 
 def vn_norms(v: Tensor) -> Tensor:
@@ -207,6 +242,16 @@ def rbf_expand(store: ParameterStore, prefix: str, d: Tensor,
     return affine(store, prefix, basis, d_out)
 
 
+def attention_params(store: ParameterStore, prefix: str, d: int,
+                     d_key: int) -> tuple[Tensor, ...]:
+    """The weights of :func:`attention` for width-``d`` queries and
+    width-``d_key`` keys, as :func:`mlp_params`."""
+    return affine_params(store, f"{prefix}.q", d, d) + (
+        store.new(f"{prefix}.k.w", (d_key, d), fan_in=d_key),
+        store.new(f"{prefix}.k.b", (d,), fan_in=d_key),
+        store.new(f"{prefix}.w", (d_key, d), fan_in=d_key))
+
+
 def attention(store: ParameterStore, prefix: str, h_query: Tensor,
               h_key: Tensor) -> Tensor:
     """Scaled dot-product cross attention; softmax runs over the senders.
@@ -218,12 +263,9 @@ def attention(store: ParameterStore, prefix: str, h_query: Tensor,
     weighted sum are another.
     """
     d = h_query.shape[-1]
-    d_key = h_key.shape[-1]
     paths = _paths(h_query.data, 2)
-    q = affine(store, f"{prefix}.q", h_query, d)
-    kw = store.new(f"{prefix}.k.w", (d_key, d), fan_in=d_key)
-    kb = store.new(f"{prefix}.k.b", (d,), fan_in=d_key)
-    w = store.new(f"{prefix}.w", (d_key, d), fan_in=d_key)
+    qw, qb, kw, kb, w = attention_params(store, prefix, d, h_key.shape[-1])
+    q = _affine(h_query, qw, qb)
     x = h_key.data
     k = np.matmul(x, kw.data)
     k += kb.data

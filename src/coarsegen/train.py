@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import topology
-from .autodiff import Tensor, backward, gc_paused, stack, unstack
+from .autodiff import Tensor, backward, gc_paused, stack
 from .corpus import ToyMolecule, make_corpus
 from .decoder import decode, decode_blocks
 from .encoder import center, encode
@@ -89,7 +89,8 @@ def molecule_loss(store: ParameterStore, cfg: ModelConfig, mol: ToyMolecule,
     under teacher forcing. ``ot`` reconstructs the first K = ``ot_samples``
     truth conformers in one pass each and matches them to the same K truths
     by optimal transport, so a perfect reconstruction costs zero. The K
-    latents are sampled path by path and decoded as one path-stacked call."""
+    latents are sampled path by path and decoded as one path-stacked call,
+    whose (K, atoms, 3) output the OT loss reads as one stack."""
     graph, mapping = mol.graph, mol.mapping
     ot = run.preset == "ot"
     # the preset alone decides whether the KL weight follows the ladder
@@ -118,22 +119,21 @@ def molecule_loss(store: ParameterStore, cfg: ModelConfig, mol: ToyMolecule,
         zs.append(sample(post, rng))
     # the one ot block has no blocks before it, so only ar reads the teacher
     if len(zs) == 1:
-        decoded = [decode(store, cfg, zs[0], mapping, ref_c, graph, blocks,
-                          teacher_coords=truth[0])]
+        decoded = decode(store, cfg, zs[0], mapping, ref_c, graph, blocks,
+                         teacher_coords=truth[0])
     else:
-        decoded = unstack(decode(store, cfg, stack(zs), mapping, ref_c, graph, blocks))
+        decoded = decode(store, cfg, stack(zs), mapping, ref_c, graph, blocks)
 
     if ot:
         kl = kl * (1.0 / len(truth))
-        recon, _plan = ot_loss(decoded, truth, graph)
+        recon, _plan = ot_loss([decoded] if len(zs) == 1 else decoded, truth, graph)
         total = recon + b1 * kl
         breakdown = {"recon": float(recon.data), "kl": float(kl.data),
                      "dist": 0.0, "beta1": b1, "beta2": 0.0,
                      "total": float(total.data)}
         return total, breakdown
-    coords, gt_c = decoded[0], truth[0]
-    recon = aligned_mse(coords, gt_c)
-    dist = distance_loss(coords, gt_c, graph)
+    recon = aligned_mse(decoded, truth[0])
+    dist = distance_loss(decoded, truth[0], graph)
     return elbo_loss(recon, kl, dist, b1, run.weights.beta2)
 
 

@@ -2,6 +2,7 @@
 autoregressive bookkeeping, decode blocks, equivariance of full generation."""
 
 import contextlib
+import re
 
 import numpy as np
 import pytest
@@ -215,6 +216,24 @@ class TestGenerate:
                          order, np.random.default_rng(0),
                          noise=noise @ rot.T).coords
         np.testing.assert_allclose(moved, base @ rot.T + shift, atol=1e-9)
+
+    @pytest.mark.parametrize("shape", [(3,), (1, "F", 3)])
+    def test_wrong_noise_shape_rejected(self, mol, cfg, store, shape):
+        """Noise that would broadcast against the (beads, F, 3) latent is an
+        error, not a conformer."""
+        graph, mapping, _, ref, order = mol
+        shape = tuple(cfg.latent_channels if d == "F" else d for d in shape)
+        want = (1, mapping.n_beads, cfg.latent_channels, 3)
+        with pytest.raises(ValueError, match=re.escape(f"{want}, got {(1,) + shape}")):
+            generate(store, cfg, graph, mapping, ref, order,
+                     np.random.default_rng(0), noise=np.ones(shape))
+
+    def test_ensemble_noise_needs_a_row_per_draw(self, mol, cfg, store):
+        graph, mapping, _, ref, order = mol
+        noise = np.ones((2, mapping.n_beads, cfg.latent_channels, 3))
+        with pytest.raises(ValueError, match="noise must have shape"):
+            generate_ensemble(store, cfg, graph, mapping, ref, order,
+                              np.random.default_rng(0), 3, noise=noise)
 
     def test_deterministic_given_rng_seed(self, mol, cfg, store):
         graph, mapping, _, ref, order = mol

@@ -1,6 +1,8 @@
 """Variational layer: KL against an independent per-dimension oracle,
 sampling statistics, equivariance of the heads."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,14 @@ class TestSampling:
         sigma = np.exp(0.5 * g.log_var.data)[:, :, None]
         np.testing.assert_allclose(out.data, g.mu.data + noise * sigma,
                                    atol=1e-14)
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 2, 3), (3, 2), (3, 2, 3, 1)])
+    def test_wrong_noise_shape_rejected(self, shape):
+        """Noise that would broadcast against the (3, 2, 3) mean is an
+        error naming both shapes, not a silently reshaped draw."""
+        g = make_latent(np.zeros((3, 2, 3)), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=rf"\(3, 2, 3\), got {re.escape(str(shape))}"):
+            sample(g, np.random.default_rng(0), noise=np.ones(shape))
 
     def test_sample_statistics(self):
         g = make_latent(np.full((1, 1, 3), 2.0), np.full((1, 1), np.log(4.0)))

@@ -14,13 +14,14 @@ import coarsegen
 from coarsegen.autodiff import Tensor
 from coarsegen.geometry import aligned_rmsd, random_rotation
 from coarsegen.corpus import make_corpus
+from coarsegen import losses
 from coarsegen.losses import (LossWeights, aligned_mse, annealed_beta1,
-                              distance_loss, elbo_loss, emd_solve, ot_loss,
-                              pairwise_cost)
+                              distance_loss, elbo_loss, emd_solve, ot_loss)
 from coarsegen.molio import Atom, Bond, MolecularGraph
 from coarsegen.params import ParameterStore
 from coarsegen.topology import hop12_pairs
 from coarsegen.train import RunConfig, molecule_loss
+from tests.test_fused_ops import check_grads, tape_nodes
 
 RNG = np.random.default_rng(23)
 
@@ -218,15 +219,94 @@ class TestOtLoss:
         assert loss.data < 1e-18
         assert marginals_ok(plan)
 
+    @staticmethod
+    def pair_cost(g, t, graph):
+        """The per-pair chain of tape ops the one-node loss replaces."""
+        return aligned_mse(g, t) + distance_loss(g, t, graph)
+
+    @staticmethod
+    def ensembles(k, l, n=None, seed=0):
+        """A toy molecule's graph with K generated and L true conformers."""
+        graph = make_corpus(1, seed)[0].graph if n is None else chain_graph(n)
+        rng = np.random.default_rng(seed)
+        truth = [rng.standard_normal((graph.n_atoms, 3)) for _ in range(l)]
+        return graph, truth, rng.standard_normal((k, graph.n_atoms, 3))
+
     def test_value_is_plan_weighted_cost(self):
-        graph = chain_graph(4)
-        truth = [RNG.standard_normal((4, 3)) for _ in range(3)]
-        generated = [Tensor(RNG.standard_normal((4, 3))) for _ in range(2)]
-        loss, plan = ot_loss(generated, truth, graph)
-        costs = pairwise_cost(generated, truth, graph)
-        want = sum(plan.matrix[i, j] * costs[i][j].data
-                   for i in range(2) for j in range(3))
-        np.testing.assert_allclose(loss.data, want, rtol=1e-12)
+        """Bit for bit the plan-weighted sum of the per-pair costs, folded
+        over the nonzero weights in row-major order, for K = L = 3 and for
+        K = 2, L = 3."""
+        for k, l in [(3, 3), (2, 3)]:
+            graph, truth, x = self.ensembles(k, l)
+            loss, plan = ot_loss(Tensor(x), truth, graph)
+            costs = np.array([[self.pair_cost(x[i], truth[j], graph).data
+                               for j in range(l)] for i in range(k)])
+            assert np.array_equal(plan.matrix, emd_solve(costs)[0].matrix)
+            want = 0.0
+            for i, j in zip(*np.nonzero(plan.matrix)):
+                want = want + costs[i, j] * plan.matrix[i, j]
+            assert np.array_equal(loss.data, want), (k, l)
+
+    def test_list_is_stacked(self):
+        graph, truth, x = self.ensembles(2, 3)
+        rows = [Tensor(row, requires_grad=True) for row in x]
+        stacked = Tensor(x, requires_grad=True)
+        a, _ = ot_loss(rows, truth, graph)
+        b, _ = ot_loss(stacked, truth, graph)
+        assert np.array_equal(a.data, b.data)
+        a.backward()
+        b.backward()
+        for k, row in enumerate(rows):
+            assert np.array_equal(row.grad, stacked.grad[k])
+
+    @pytest.mark.parametrize("k,l", [(3, 3), (2, 3), (3, 2)])
+    def test_row_gradients_equal_per_pair_chain(self, k, l):
+        """Each row's gradient is, bit for bit, its gradient through the
+        plan-weighted sum of per-pair chains, whose tape adds each row's
+        partials pair by pair in column order."""
+        graph, truth, x = self.ensembles(k, l)
+        stacked = Tensor(x, requires_grad=True)
+        loss, plan = ot_loss(stacked, truth, graph)
+        loss.backward()
+        rows = [Tensor(row, requires_grad=True) for row in x]
+        chain = Tensor(0.0)
+        for i, j in zip(*np.nonzero(plan.matrix)):
+            chain = chain + self.pair_cost(rows[i], truth[j], graph) * plan.matrix[i, j]
+        chain.backward()
+        assert np.array_equal(loss.data, chain.data)
+        for i, row in enumerate(rows):
+            assert np.array_equal(stacked.grad[i], row.grad), i
+
+    @pytest.mark.parametrize("k,l", [(2, 3), (3, 2)])
+    def test_gradcheck_rectangular(self, k, l):
+        graph, truth, x = self.ensembles(k, l, n=5, seed=4)
+        check_grads(lambda t: ot_loss(t, truth, graph)[0], x, ParameterStore(),
+                    np.random.default_rng(5))
+
+    def test_one_node(self):
+        graph, truth, x = self.ensembles(3, 3)
+        loss, _ = ot_loss(Tensor(x, requires_grad=True), truth, graph)
+        assert tape_nodes(loss) == 1
+
+    def test_one_transport_solve_per_call(self, monkeypatch):
+        calls = []
+        solve = losses.emd_solve
+        monkeypatch.setattr(losses, "emd_solve", lambda cost: calls.append(cost) or solve(cost))
+        graph, truth, x = self.ensembles(2, 3)
+        ot_loss(Tensor(x, requires_grad=True), truth, graph)
+        assert len(calls) == 1 and calls[0].shape == (2, 3)
+
+    def test_graph_without_hop_pairs(self):
+        """No 1/2-hop pairs: the cost is the alignment term alone."""
+        graph = MolecularGraph([Atom("C") for _ in range(4)], [])
+        _, truth, x = self.ensembles(2, 3, n=4, seed=6)
+        loss, plan = ot_loss(Tensor(x), truth, graph)
+        want = 0.0
+        for i, j in zip(*np.nonzero(plan.matrix)):
+            want = want + aligned_mse(x[i], truth[j]).data * plan.matrix[i, j]
+        assert np.array_equal(loss.data, want)
+        check_grads(lambda t: ot_loss(t, truth, graph)[0], x, ParameterStore(),
+                    np.random.default_rng(7))
 
     def test_gradients_reach_generated_coords(self):
         graph = chain_graph(4)
