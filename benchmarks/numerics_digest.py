@@ -12,7 +12,9 @@ the lines. Where a line moves, compare its arrays one by one:
 ``--arrays`` also saves every array a line hashes (``train``: the trained
 parameters, not the checkpoint bytes), under ``line/name``. ``--compare``
 prints, for each array, "bit-equal" or its largest difference relative to
-the largest magnitude of the first file's array, then a count per line.
+the largest magnitude of the first file's array, followed by that
+difference and that magnitude (an array that is zero up to noise shows a
+large relative figure on a tiny magnitude), then a count per line.
 
 Each line digests the raw float64 bytes of:
 
@@ -162,7 +164,8 @@ def compare(path_a: str, path_b: str) -> None:
         else:
             scale = np.abs(x).max()
             diff = np.abs(x - b[key]).max()
-            verdict = f"max rel diff {diff / scale if scale else diff:.3e}"
+            verdict = (f"max rel diff {diff / scale if scale else diff:.3e} "
+                       f"(max abs diff {diff:.3e}, max abs {scale:.3e})")
         line = key.split("/", 1)[0]
         tally[line, verdict == "bit-equal"] += 1
         print(f"{key}: {verdict}")

@@ -6,9 +6,9 @@ gradients into every reachable leaf with ``requires_grad=True``.
 
 The primitive ops are affine arithmetic, matmul (with numpy broadcasting),
 reductions, exp/sqrt, sigmoid, gathers (``t[idx]`` is a gather along axis
-0), concatenation, stacking and segment sums. Gathers and segment sums work
-along any axis, so they serve path-stacked arrays (see :mod:`coarsegen.nn`),
-and :func:`unstack` splits such an array into its paths. Blocks the model
+0), concatenation and segment sums. Gathers and segment sums work along any
+axis, and concatenation repeats a lower-rank input over the path axis, so
+they serve path-stacked arrays (see :mod:`coarsegen.nn`). Blocks the model
 calls many times per step (the MLP, affine, vector-neuron, RBF and
 attention layers in :mod:`coarsegen.nn`, and channel selection in
 :mod:`coarsegen.decoder`) are fused: each records one node whose
@@ -253,12 +253,24 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # -- free functions ----------------------------------------------------------
 
 def concat(tensors, axis=0) -> Tensor:
+    """Join ``tensors`` along ``axis`` of the result. An input with fewer
+    axes than the others is repeated over the leading axes it lacks, so one
+    path joins each row of a path stack; its gradient is summed over them."""
     tensors = [as_tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    arrays = [t.data for t in tensors]
+    try:
+        out_data = np.concatenate(arrays, axis=axis)
+    except ValueError:
+        # the ranks differ (or the shapes do not fit, which raises again)
+        lead = max(arrays, key=np.ndim).shape
+        arrays = [a if a.ndim == len(lead) else
+                  np.broadcast_to(a, lead[:len(lead) - a.ndim] + a.shape) for a in arrays]
+        out_data = np.concatenate(arrays, axis=axis)
 
     def bw(g):
-        splits = list(accumulate(t.data.shape[axis] for t in tensors[:-1]))
-        return tuple(np.split(g, splits, axis=axis))
+        splits = list(accumulate(a.shape[axis] for a in arrays[:-1]))
+        return tuple(_unbroadcast(part, t.data.shape) if t.requires_grad else None
+                     for part, t in zip(np.split(g, splits, axis=axis), tensors))
 
     return Tensor(out_data, _parents=tuple(tensors), _backward_fn=bw)
 
@@ -282,43 +294,6 @@ def segment_sum(t: Tensor, segment_ids: np.ndarray, num_segments: int,
     out_data = _scatter_rows(t.data, segment_ids, num_segments, axis)
     return Tensor(out_data, _parents=(t,),
                   _backward_fn=lambda g: (g.take(segment_ids, axis=axis),))
-
-
-def stack(tensors) -> Tensor:
-    """Stack same-shape tensors along a new leading axis; each gets its own
-    row of the gradient."""
-    tensors = [as_tensor(t) for t in tensors]
-    return Tensor(np.stack([t.data for t in tensors]), _parents=tuple(tensors),
-                  _backward_fn=tuple)
-
-
-def unstack(t: Tensor) -> list[Tensor]:
-    """Split ``t`` along its leading axis into one tensor per row.
-
-    The rows' gradients are stacked, never added: each row hands its own to
-    one shared node, whose backward returns them as one array for ``t``. A
-    sum of zero-padded arrays would turn a -0.0 into +0.0. A row that gets
-    no gradient in a backward call contributes zeros.
-    """
-    if not t.requires_grad:
-        return [Tensor(row) for row in t.data]
-    row_grads: list = [None] * len(t.data)
-
-    def stacked(_):
-        g = np.stack([np.zeros(t.data.shape[1:]) if r is None else r
-                      for r in row_grads])
-        row_grads[:] = [None] * len(row_grads)
-        return (g,)
-
-    hub = Tensor(np.zeros(0), _parents=(t,), _backward_fn=stacked)
-
-    def row(k):
-        def bw(g):
-            row_grads[k] = g
-            return (np.zeros(0),)     # a token, so that the hub runs
-        return Tensor(t.data[k], _parents=(hub,), _backward_fn=bw)
-
-    return [row(k) for k in range(len(t.data))]
 
 
 @contextlib.contextmanager

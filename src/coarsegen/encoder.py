@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import topology
-from .autodiff import Tensor, concat, segment_sum, take, unstack
+from .autodiff import Tensor, concat, segment_sum, take
 from .coarsen import CGMapping
 from .molio import MolecularGraph
 from .nn import (ETA, RBF_CENTERS, RBF_WIDTH, ModelConfig, affine, affine_params,
@@ -64,11 +64,6 @@ def _pair_dist2(x: Tensor, src, dst) -> Tensor:
     return (diff * diff).sum(axis=-1, keepdims=True)
 
 
-def _const(array: np.ndarray, paths: int) -> Tensor:
-    """A constant shared by every path, broadcast over the path axis."""
-    return Tensor(np.broadcast_to(array, (paths,) + array.shape))
-
-
 def _reference_attention(store: ParameterStore, prefix: str, h: Tensor) -> Tensor:
     """Cross attention of the ground-truth rows of a (K + 1, rows, D) stack to
     its last row, the reference, at the layer's input; the reference row
@@ -85,7 +80,8 @@ def _reference_attention(store: ParameterStore, prefix: str, h: Tensor) -> Tenso
 def init_fg_state(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
                   coords: np.ndarray) -> FgState:
     """State of a stack of paths, (paths, atoms, 3) ``coords``."""
-    feats = _const(topology.atom_features(graph), len(coords))
+    feats = topology.atom_features(graph)
+    feats = Tensor(np.broadcast_to(feats, (len(coords),) + feats.shape))
     h0 = affine(store, "enc.main.emb", feats, cfg.hidden_dim)
     x = Tensor(coords)
     return FgState(h=h0, x=x, x0=x, f=h0)
@@ -107,11 +103,11 @@ def fg_layer(store: ParameterStore, cfg: ModelConfig, layer: int, st: FgState,
     Each ground-truth row attends to the reference row's features at this
     layer's input; the reference row attends to nothing."""
     D = cfg.hidden_dim
-    paths, n, _ = st.h.shape
+    n = st.h.shape[1]
     pfx = f"enc.main.fg.l{layer}"
     d2 = _pair_dist2(st.x, edges.src, edges.dst)
     m_in = concat([take(st.h, edges.dst, -2), take(st.h, edges.src, -2), d2,
-                   _const(edges.feats, paths)], axis=-1)
+                   Tensor(edges.feats)], axis=-1)
     m_e = mlp(store, f"{pfx}.phi_e", m_in, D, D)
     m_node = segment_sum(m_e, edges.dst, n, axis=-2) * Tensor(edges.inv_degree[:, None])
 
@@ -141,9 +137,8 @@ def pool_layer(store: ParameterStore, cfg: ModelConfig, layer: int,
 
     diff = take(cg.X, bead_idx, -2) - take(fg.x, atom_idx, -2)
     d2 = (diff * diff).sum(axis=-1, keepdims=True)
-    ones = _const(np.ones((len(atom_idx), 1)), cg.H.shape[0])
-    m_in = concat([take(cg.H, bead_idx, -2), take(fg.h, atom_idx, -2), d2, ones],
-                  axis=-1)
+    m_in = concat([take(cg.H, bead_idx, -2), take(fg.h, atom_idx, -2), d2,
+                   Tensor(np.ones((len(atom_idx), 1)))], axis=-1)
     m_e = mlp(store, f"{pfx}.phi_e", m_in, D, D)
     m_bead = segment_sum(m_e, bead_idx, n_beads, axis=-2) * inv_sizes
 
@@ -171,7 +166,7 @@ def cg_layer(store: ParameterStore, cfg: ModelConfig, layer: int, st: CgState,
     It still creates their parameters, in the same order.
     """
     D, F = cfg.hidden_dim, cfg.latent_channels
-    lead, n_beads = st.H.shape[:-2], st.H.shape[-2]
+    n_beads = st.H.shape[-2]
     pfx = f"enc.main.cg.l{layer}"
     last = layer == cfg.layers - 1
     # equivariant/invariant feature mixing
@@ -203,8 +198,8 @@ def cg_layer(store: ParameterStore, cfg: ModelConfig, layer: int, st: CgState,
                 * r.reshape(r.shape[:-1] + (1, 3)))
         mv = segment_sum(mv_e, edges.dst, n_beads, axis=-3)
     else:
-        mh = Tensor(np.zeros(lead + (n_beads, D)))
-        mv = Tensor(np.zeros(lead + (n_beads, F, 3)))
+        mh = Tensor(np.zeros((n_beads, D)))        # concat repeats it over the paths
+        mv = Tensor(np.zeros((n_beads, F, 3)))
 
     if last:
         if len(st.H.data) > 1:     # as in _reference_attention
@@ -222,12 +217,13 @@ def cg_layer(store: ParameterStore, cfg: ModelConfig, layer: int, st: CgState,
 
 def encode(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
            mapping: CGMapping, gt_list: list[np.ndarray],
-           ref_coords: np.ndarray) -> tuple[list[Tensor], Tensor]:
+           ref_coords: np.ndarray) -> tuple[Tensor, Tensor]:
     """Encode K >= 0 ground-truth conformers beside one reference conformer.
 
-    Returns the K ground-truth latents (Z) and the reference latent (Z~).
-    The inputs are centered here and run as one (K + 1)-path stack, the
-    reference last; each layer runs one fg, one pool and one cg update.
+    Returns the K ground-truth latents (Z) as one (K, beads, F, 3) path
+    stack and the reference latent (Z~), (beads, F, 3). The inputs are
+    centered here and run as one (K + 1)-path stack, the reference last;
+    each layer runs one fg, one pool and one cg update.
     """
     coords = np.stack([center(c)[0] for c in [*gt_list, ref_coords]])
     edges = directed_edges(graph)
@@ -239,8 +235,9 @@ def encode(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
         fg = fg_layer(store, cfg, layer, fg, edges)
         cg = pool_layer(store, cfg, layer, fg, cg, mapping)
         cg = cg_layer(store, cfg, layer, cg, bead_edges)
-    rows = unstack(cg.v)
-    return rows[:-1], rows[-1]
+    k = len(gt_list)
+    z_ref = take(cg.v, np.array([k]), 0).reshape(cg.v.shape[1:])
+    return take(cg.v, np.arange(k), 0), z_ref
 
 
 def encode_reference(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,

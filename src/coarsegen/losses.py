@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import topology
-from .autodiff import Tensor, _scatter_rows, as_tensor, stack
+from .autodiff import Tensor, _scatter_rows, as_tensor
 from .geometry import _kabsch_rotation, kabsch_align
 from .molio import MolecularGraph
 
@@ -159,14 +159,14 @@ def emd_solve(cost: np.ndarray) -> tuple[TransportPlan, float]:
     return TransportPlan(plan), float(np.sum(plan * cost))
 
 
-def ot_loss(generated, truth, graph: MolecularGraph) -> tuple[Tensor, TransportPlan]:
+def ot_loss(generated: Tensor, truth, graph: MolecularGraph) -> tuple[Tensor, TransportPlan]:
     """Optimal-transport matching loss between two conformer ensembles.
 
-    ``generated`` is a (K, atoms, 3) path stack, or a list of (atoms, 3)
-    conformers, which is stacked first; ``truth`` holds L plain coordinate
-    arrays. Pair (k, l) costs ``aligned_mse + distance_loss`` of generated
-    k against truth l, and the loss is the transport plan's weighted sum of
-    the costs, folded over the nonzero weights in row-major order.
+    ``generated`` is a (K, atoms, 3) path stack; ``truth`` holds L plain
+    coordinate arrays. Pair (k, l) costs ``aligned_mse + distance_loss`` of
+    generated k against truth l, and the loss is the transport plan's
+    weighted sum of the costs, folded over the nonzero weights in row-major
+    order.
 
     One tape node. The forward computes all K x L costs in one stacked pass
     whose slices run the numpy operations of the per-pair functions, so the
@@ -176,8 +176,6 @@ def ot_loss(generated, truth, graph: MolecularGraph) -> tuple[Tensor, TransportP
     order, each pair's alignment partial before the scatters of its two
     distance gathers. Its gradients are that tape's bit for bit.
     """
-    if not isinstance(generated, Tensor):
-        generated = stack(generated)
     x = generated.data
     truth = np.stack([np.asarray(t.data if isinstance(t, Tensor) else t,
                                  dtype=np.float64) for t in truth])

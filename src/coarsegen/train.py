@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import topology
-from .autodiff import Tensor, backward, gc_paused, stack
+from .autodiff import Tensor, backward, gc_paused
 from .corpus import ToyMolecule, make_corpus
 from .decoder import decode, decode_blocks
 from .encoder import center, encode
@@ -89,8 +89,9 @@ def molecule_loss(store: ParameterStore, cfg: ModelConfig, mol: ToyMolecule,
     under teacher forcing. ``ot`` reconstructs the first K = ``ot_samples``
     truth conformers in one pass each and matches them to the same K truths
     by optimal transport, so a perfect reconstruction costs zero. The K
-    latents are sampled path by path and decoded as one path-stacked call,
-    whose (K, atoms, 3) output the OT loss reads as one stack."""
+    paths run as one (K, beads, F, 3) stack from the encoder through the
+    posterior, the draw and the KL; ``ot`` decodes the stack in one call,
+    whose (K, atoms, 3) output the OT loss reads."""
     graph, mapping = mol.graph, mol.mapping
     ot = run.preset == "ot"
     # the preset alone decides whether the KL weight follows the ladder
@@ -105,33 +106,23 @@ def molecule_loss(store: ParameterStore, cfg: ModelConfig, mol: ToyMolecule,
                                topology.bead_order(graph, mapping, cfg.aux_cutoff))
 
     z_truth, z_ref = encode(store, cfg, graph, mapping, truth, ref_c)
-    zs = []
-    kl = None
-    prior = None
-    for z_t in z_truth:
-        post = posterior_params(store, cfg, z_t, z_ref)
-        if prior is None:
-            # after the first posterior: a fresh store draws initial
-            # values in creation order, posterior heads first
-            prior = prior_params(store, cfg, z_ref)
-        term = kl_divergence(post, prior)
-        kl = term if kl is None else kl + term
-        zs.append(sample(post, rng))
-    # the one ot block has no blocks before it, so only ar reads the teacher
-    if len(zs) == 1:
-        decoded = decode(store, cfg, zs[0], mapping, ref_c, graph, blocks,
-                         teacher_coords=truth[0])
-    else:
-        decoded = decode(store, cfg, stack(zs), mapping, ref_c, graph, blocks)
+    # a fresh store draws initial values in creation order, posterior heads first
+    post = posterior_params(store, cfg, z_truth, z_ref)
+    kl = kl_divergence(post, prior_params(store, cfg, z_ref))
+    z = sample(post, rng)
 
     if ot:
+        decoded = decode(store, cfg, z, mapping, ref_c, graph, blocks)
         kl = kl * (1.0 / len(truth))
-        recon, _plan = ot_loss([decoded] if len(zs) == 1 else decoded, truth, graph)
+        recon, _plan = ot_loss(decoded, truth, graph)
         total = recon + b1 * kl
         breakdown = {"recon": float(recon.data), "kl": float(kl.data),
                      "dist": 0.0, "beta1": b1, "beta2": 0.0,
                      "total": float(total.data)}
         return total, breakdown
+    # the ar blocks decode one path, reading the teacher
+    decoded = decode(store, cfg, z.reshape(z.shape[1:]), mapping, ref_c, graph, blocks,
+                     teacher_coords=truth[0])
     recon = aligned_mse(decoded, truth[0])
     dist = distance_loss(decoded, truth[0], graph)
     return elbo_loss(recon, kl, dist, b1, run.weights.beta2)

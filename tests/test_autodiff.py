@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsegen.autodiff import (Tensor, _scatter_rows, as_tensor, backward,
-                                concat, no_grad, segment_sum, stack, take,
-                                unstack)
+                                concat, no_grad, segment_sum, take)
 
 RNG = np.random.default_rng(42)
 
@@ -310,23 +309,29 @@ class TestPathAxis:
             assert_bit_identical(t.grad[k], t_k.grad)
             assert_bit_identical(seg[k], segment_sum(Tensor(g[k]), ids % 6, 6).data)
 
-    def test_unstack_stacks_row_gradients(self):
-        t = Tensor(RNG.standard_normal((3, 2)), requires_grad=True)
-        rows = unstack(t)
-        assert [r.shape for r in rows] == [(2,)] * 3
-        backward((rows[0] * Tensor(np.full(2, -0.0))).sum() + rows[2].sum())
-        assert_bit_identical(t.grad, np.array([[-0.0, -0.0], [0.0, 0.0], [1.0, 1.0]]))
-        t.grad = None
-        backward(rows[1].sum())       # the first call's row gradients are gone
-        assert_bit_identical(t.grad, np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]]))
+    def test_concat_joins_one_path_to_each_row(self):
+        """A single path broadcasts over the rows of a path stack; its
+        gradient is the rows' partials added in row order."""
+        x = Tensor(RNG.standard_normal((3, 4, 2, 3)), requires_grad=True)
+        y = Tensor(RNG.standard_normal((4, 1, 3)), requires_grad=True)
+        out = concat([x, y], axis=-2)
+        for k in range(3):
+            assert_bit_identical(out.data[k], np.concatenate([x.data[k], y.data], axis=-2))
+        g = RNG.standard_normal(out.shape)
+        backward((out * Tensor(g)).sum())
+        assert_bit_identical(x.grad, g[:, :, :2])
+        assert_bit_identical(y.grad, g[0, :, 2:] + g[1, :, 2:] + g[2, :, 2:])
+        with pytest.raises(ValueError):     # repeated, it still does not fit
+            concat([x, Tensor(np.zeros((5, 1, 3)))], axis=-2)
 
-    def test_stack_hands_each_its_row(self):
-        a = Tensor(RNG.standard_normal(2), requires_grad=True)
-        b = Tensor(RNG.standard_normal(2), requires_grad=True)
-        g = np.array([[-0.0, 2.0], [3.0, -4.0]])
-        backward((stack([a, b]) * Tensor(g)).sum())
-        assert_bit_identical(a.grad, g[0])
-        assert_bit_identical(b.grad, g[1])
+    def test_concat_broadcast_grad(self):
+        y = Tensor(RNG.standard_normal((3, 4, 2)))
+
+        def square_of_concat(t):
+            c = concat([y, t], axis=-1)
+            return c * c
+
+        check_op(square_of_concat, RNG.standard_normal((4, 3)))
 
 
 class TestUnreadGradients:

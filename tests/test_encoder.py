@@ -51,18 +51,18 @@ class TestCenter:
 class TestEquivariance:
     def test_latents_rotate_with_input(self, cfg, store, micro_molecule):
         graph, mapping, gt, ref = micro_molecule
-        (z_gt,), z_ref = encode(store, cfg, graph, mapping, [gt], ref)
+        z_gt, z_ref = encode(store, cfg, graph, mapping, [gt], ref)
         for _ in range(5):
             rot = random_rotation(RNG)
-            (zg2,), zr2 = encode(store, cfg, graph, mapping, [gt @ rot.T], ref @ rot.T)
+            zg2, zr2 = encode(store, cfg, graph, mapping, [gt @ rot.T], ref @ rot.T)
             np.testing.assert_allclose(zg2.data, z_gt.data @ rot.T, atol=1e-10)
             np.testing.assert_allclose(zr2.data, z_ref.data @ rot.T, atol=1e-10)
 
     def test_translation_invariance(self, cfg, store, micro_molecule):
         graph, mapping, gt, ref = micro_molecule
-        (z_gt,), z_ref = encode(store, cfg, graph, mapping, [gt], ref)
+        z_gt, z_ref = encode(store, cfg, graph, mapping, [gt], ref)
         shift = np.array([3.0, -2.0, 7.0])
-        (zg2,), zr2 = encode(store, cfg, graph, mapping, [gt + shift], ref + shift)
+        zg2, zr2 = encode(store, cfg, graph, mapping, [gt + shift], ref + shift)
         np.testing.assert_allclose(zg2.data, z_gt.data, atol=1e-10)
         np.testing.assert_allclose(zr2.data, z_ref.data, atol=1e-10)
 
@@ -95,24 +95,24 @@ class TestNoLeak:
     def test_ground_truth_path_does_depend_on_reference(self, cfg, store,
                                                         micro_molecule):
         graph, mapping, gt, ref = micro_molecule
-        (z_gt_a,), _ = encode(store, cfg, graph, mapping, [gt], ref)
-        (z_gt_b,), _ = encode(store, cfg, graph, mapping, [gt],
-                              ref + RNG.standard_normal(ref.shape))
+        z_gt_a, _ = encode(store, cfg, graph, mapping, [gt], ref)
+        z_gt_b, _ = encode(store, cfg, graph, mapping, [gt],
+                           ref + RNG.standard_normal(ref.shape))
         assert np.abs(z_gt_a.data - z_gt_b.data).max() > 0
 
 
 class TestDeterminismAndShapes:
     def test_shapes(self, cfg, store, micro_molecule):
         graph, mapping, gt, ref = micro_molecule
-        (z_gt,), z_ref = encode(store, cfg, graph, mapping, [gt], ref)
-        assert z_gt.shape == (mapping.n_beads, cfg.latent_channels, 3)
-        assert z_ref.shape == z_gt.shape
+        z_gt, z_ref = encode(store, cfg, graph, mapping, [gt], ref)
+        assert z_gt.shape == (1, mapping.n_beads, cfg.latent_channels, 3)
+        assert z_ref.shape == z_gt.shape[1:]
 
     def test_bitwise_deterministic(self, cfg, store, micro_molecule):
         graph, mapping, gt, ref = micro_molecule
         a = encode(store, cfg, graph, mapping, [gt], ref)
         b = encode(store, cfg, graph, mapping, [gt], ref)
-        np.testing.assert_array_equal(a[0][0].data, b[0][0].data)
+        np.testing.assert_array_equal(a[0].data, b[0].data)
         np.testing.assert_array_equal(a[1].data, b[1].data)
 
 
@@ -131,7 +131,8 @@ class TestOneStack:
             monkeypatch.setattr(encoder, name, counted)
         z_gts, z_ref = encode(store, cfg, graph, mapping, [gt + 0.1 * i for i in range(k)],
                               ref)
-        assert len(z_gts) == k and z_ref.shape == (mapping.n_beads, cfg.latent_channels, 3)
+        assert z_gts.shape == (k, mapping.n_beads, cfg.latent_channels, 3)
+        assert z_ref.shape == z_gts.shape[1:]
         assert calls == dict.fromkeys(calls, cfg.layers)
 
 

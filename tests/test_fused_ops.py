@@ -283,12 +283,12 @@ def test_encode_ensemble_matches_single_encodes(small_cfg):
     gts = [ref + 0.3 * rng.standard_normal(ref.shape) for _ in range(3)]
     store = ParameterStore(seed=SEED)
     z_gts, z_ref = encode(store, small_cfg, graph, mapping, gts, ref)
-    assert len(z_gts) == 3
+    assert z_gts.shape[0] == 3
     solo = encode_reference(store, small_cfg, graph, mapping, ref)
     assert np.array_equal(z_ref.data, solo.data)
-    for gt, z in zip(gts, z_gts):
-        (z_one,), z_ref_one = encode(store, small_cfg, graph, mapping, [gt], ref)
-        assert np.array_equal(z.data, z_one.data)
+    for gt, z in zip(gts, z_gts.data):
+        z_one, z_ref_one = encode(store, small_cfg, graph, mapping, [gt], ref)
+        assert np.array_equal(z, z_one.data[0])
         assert np.array_equal(z_ref.data, z_ref_one.data)
 
 

@@ -214,8 +214,7 @@ class TestOtLoss:
     def test_zero_when_ensembles_match(self):
         graph = chain_graph(4)
         truth = [RNG.standard_normal((4, 3)) for _ in range(3)]
-        generated = [Tensor(t.copy()) for t in truth]
-        loss, plan = ot_loss(generated, truth, graph)
+        loss, plan = ot_loss(Tensor(np.stack(truth)), truth, graph)
         assert loss.data < 1e-18
         assert marginals_ok(plan)
 
@@ -246,18 +245,6 @@ class TestOtLoss:
             for i, j in zip(*np.nonzero(plan.matrix)):
                 want = want + costs[i, j] * plan.matrix[i, j]
             assert np.array_equal(loss.data, want), (k, l)
-
-    def test_list_is_stacked(self):
-        graph, truth, x = self.ensembles(2, 3)
-        rows = [Tensor(row, requires_grad=True) for row in x]
-        stacked = Tensor(x, requires_grad=True)
-        a, _ = ot_loss(rows, truth, graph)
-        b, _ = ot_loss(stacked, truth, graph)
-        assert np.array_equal(a.data, b.data)
-        a.backward()
-        b.backward()
-        for k, row in enumerate(rows):
-            assert np.array_equal(row.grad, stacked.grad[k])
 
     @pytest.mark.parametrize("k,l", [(3, 3), (2, 3), (3, 2)])
     def test_row_gradients_equal_per_pair_chain(self, k, l):
@@ -311,9 +298,8 @@ class TestOtLoss:
     def test_gradients_reach_generated_coords(self):
         graph = chain_graph(4)
         truth = [RNG.standard_normal((4, 3)) for _ in range(2)]
-        generated = [Tensor(RNG.standard_normal((4, 3)), requires_grad=True)
-                     for _ in range(2)]
+        generated = Tensor(RNG.standard_normal((2, 4, 3)), requires_grad=True)
         loss, _ = ot_loss(generated, truth, graph)
         loss.backward()
-        for g in generated:
-            assert g.grad is not None and np.abs(g.grad).max() > 0
+        for g in generated.grad:
+            assert np.abs(g).max() > 0

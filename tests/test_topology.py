@@ -42,7 +42,8 @@ def builds(monkeypatch):
 
 def encode_and_decode(mol, cfg, store):
     gt_c, ref_c = center(mol.gt.coords)[0], center(mol.ref.coords)[0]
-    (z,), _ = encode(store, cfg, mol.graph, mol.mapping, [gt_c], ref_c)
+    z_gt, _ = encode(store, cfg, mol.graph, mol.mapping, [gt_c], ref_c)
+    z = z_gt.reshape(z_gt.shape[1:])
     order = topology.bead_order(mol.graph, mol.mapping, cfg.aux_cutoff)
     coords = decode(store, cfg, z, mol.mapping, ref_c, mol.graph,
                     decode_blocks(mol.mapping, "ar", order))

@@ -173,10 +173,11 @@ class TestNodeBudget:
     created node reaches the loss: no op computes what nothing reads."""
 
     # preset: nodes created, all of them reachable from the loss; per
-    # molecule 409.0 (ot: K = 3 truths and the reference in one stack, the
-    # OT loss one node) and 731.3 (elbo-ar: a 2-path stack); channel
-    # selection is one node per decode
-    BUDGET = {"ot": 4090, "elbo-ar": 7313}
+    # molecule 335.0 (ot: K = 3 truths and the reference in one encoder
+    # stack, the K paths one stack through the latent heads, the decode and
+    # the OT loss, which is one node) and 719.3 (elbo-ar: a 2-path encoder
+    # stack); channel selection and the KL are one node each
+    BUDGET = {"ot": 3350, "elbo-ar": 7193}
 
     @staticmethod
     def reachable(out: Tensor) -> int:
@@ -209,6 +210,31 @@ class TestNodeBudget:
             loss, _ = molecule_loss(store, cfg, mol, run, 1, rng)
             reached += self.reachable(loss)
         assert created == reached <= self.BUDGET[preset], (created, reached)
+
+
+class TestLossBytes:
+    """The bytes of ``molecule_loss`` on each molecule of
+    ``make_corpus(10, 0)`` at epoch 1 with the default model, fresh store
+    and generator at the run seed: the first 16 hex digits of the SHA-256 of
+    the 10 float64 losses in order. They pin the forward numbers, so a
+    change that is meant to keep them (stacking, fusing) must keep them bit
+    for bit. ``ot`` at K = 1 decodes a one-path stack."""
+
+    @pytest.mark.parametrize("preset,k,want", [
+        ("ot", 1, "6c8936065f381f10"),
+        ("ot", 3, "264933a7bcf1d0b8"),
+        ("elbo-ar", 1, "c88cc1376f7c821d"),
+    ])
+    def test_loss_bytes(self, preset, k, want):
+        run = RunConfig(preset=preset, ot_samples=k)    # elbo-ar reads K = 1 always
+        cfg = run.model_config()
+        store = ParameterStore(seed=run.seed)
+        rng = np.random.default_rng(run.seed)
+        h = hashlib.sha256()
+        for mol in make_corpus(10, 0):
+            loss, _ = molecule_loss(store, cfg, mol, run, 1, rng)
+            h.update(loss.data.tobytes())
+        assert h.hexdigest()[:16] == want
 
 
 class TestParameterNamespace:
