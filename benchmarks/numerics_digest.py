@@ -18,6 +18,9 @@ large relative figure on a tiny magnitude), then a count per line.
 
 Each line digests the raw float64 bytes of:
 
+- ``corpus``: for each of ``make_corpus(1, s)``, s = 0 to 39, at 5 and at
+  16 truth conformers, the ground-truth, reference and truth coordinates,
+  the auxiliary edges and the bead assignment;
 - ``ot`` / ``elbo-ar`` / ``elbo-annealed``: the loss of each of 10 toy
   molecules at epoch 1 from a fresh parameter store, and every parameter
   gradient after its backward (at epoch 1 the annealed KL weight is the
@@ -68,6 +71,21 @@ def digest(chunks) -> str:
 def hashed(named: dict) -> tuple[str, dict]:
     """The digest of ``named``'s arrays in order, and the arrays."""
     return digest(named.values()), named
+
+
+def corpus_arrays() -> tuple[str, dict]:
+    named = {}
+    for n_truth in (5, 16):
+        for s in range(40):
+            mol = corpus.make_corpus(1, s, n_truth=n_truth)[0]
+            key = f"truth{n_truth}/seed{s}"
+            named[f"{key}/gt"] = mol.gt.coords
+            named[f"{key}/ref"] = mol.ref.coords
+            for k, t in enumerate(mol.truth_ensemble):
+                named[f"{key}/truth{k}"] = t.coords
+            named[f"{key}/aux"] = np.asarray(mol.graph.aux_edges, dtype=np.float64)
+            named[f"{key}/beads"] = np.asarray(mol.mapping.assignment, dtype=np.float64)
+    return hashed(named)
 
 
 def loss_and_grads(preset: str, mols, ot_samples: int = 3) -> tuple[str, dict]:
@@ -185,6 +203,7 @@ def main() -> None:
         return
     mols = corpus.make_corpus(N_MOLECULES, 11, n_truth=5)
     lines = {
+        "corpus": corpus_arrays,
         "ot": lambda: loss_and_grads("ot", mols),
         "ot-k5": lambda: loss_and_grads("ot", mols, ot_samples=5),
         "elbo-ar": lambda: loss_and_grads("elbo-ar", mols),

@@ -14,6 +14,7 @@ import numpy as np
 
 from .coarsen import CGMapping, coarse_grain, find_rotatable_bonds
 from .molio import Atom, Bond, Conformer, MolecularGraph, build_graph
+from .topology import torsion_side
 
 
 @dataclass
@@ -25,58 +26,46 @@ class ToyMolecule:
     mapping: CGMapping             # built from the reference conformer
 
 
+_EYE = np.eye(3)
+
+
 def _rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
     axis = axis / np.linalg.norm(axis)
     k = np.array([[0, -axis[2], axis[1]],
                   [axis[2], 0, -axis[0]],
                   [-axis[1], axis[0], 0]])
-    return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
+    return _EYE + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
 
 
-def _place_atom(coords: list[np.ndarray], anchor: np.ndarray, length: float,
+def _place_atom(placed: np.ndarray, anchor: np.ndarray, length: float,
                 rng: np.random.Generator, min_sep: float = 0.9) -> np.ndarray:
+    """A point ``length`` from ``anchor`` in a random direction, more than
+    ``min_sep`` from every row of ``placed``; after 200 tries, the last one."""
     for _ in range(200):
         direction = rng.standard_normal(3)
         direction /= np.linalg.norm(direction)
         pos = anchor + length * direction
-        if all(np.linalg.norm(pos - c) > min_sep for c in coords):
+        d = pos - placed
+        # a stacked (1, 3) @ (3, 1) product is np.linalg.norm's dot, row by row
+        if (np.sqrt(d[:, None, :] @ d[:, :, None]) > min_sep).all():
             return pos
     return pos  # crowded fallback; still finite
 
 
-def _component_side(n: int, bonds: list[tuple[int, int]], severed: tuple[int, int],
-                    side: int) -> set[int]:
-    """Atoms reachable from ``side`` without crossing the severed bond."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in bonds:
-        if {i, j} == set(severed):
-            continue
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {side}
-    stack = [side]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
 def apply_torsions(coords: np.ndarray, graph: MolecularGraph,
                    angles: dict[int, float]) -> np.ndarray:
-    """Rotate subtrees about rotatable bonds by the given angles (radians)."""
+    """Rotate subtrees about rotatable bonds by the given angles (radians).
+
+    Each bond turns its :func:`~coarsegen.topology.torsion_side` about the
+    axis from its first atom to its second."""
     out = coords.copy()
-    bond_pairs = [(b.i, b.j) for b in graph.bonds]
     for bond_idx, angle in angles.items():
         b = graph.bonds[bond_idx]
-        side = _component_side(graph.n_atoms, bond_pairs, (b.i, b.j), b.j)
-        axis = out[b.j] - out[b.i]
-        rot = _rotation_about_axis(axis, angle)
+        side = torsion_side(graph, bond_idx)
         pivot = out[b.i]
-        for a in side:
-            out[a] = rot @ (out[a] - pivot) + pivot
+        rot = _rotation_about_axis(out[b.j] - pivot, angle)
+        # a stacked (3, 3) @ (3, 1) product is rot @ v, atom by atom
+        out[side] = (rot @ (out[side] - pivot)[:, :, None])[:, :, 0] + pivot
     return out
 
 
@@ -120,21 +109,20 @@ def _embed(elements, bonds, rng: np.random.Generator) -> np.ndarray:
     for i, j in bonds:
         adj[i].append(j)
         adj[j].append(i)
-    coords: list[np.ndarray] = [np.zeros(3)]
-    placed = {0}
+    placed = np.zeros((len(elements), 3))   # positions in placement order
+    row = {0: 0}                            # atom -> its row of ``placed``
     stack = [0]
-    coord_map = {0: np.zeros(3)}
     while stack:
         v = stack.pop()
         for w in adj[v]:
-            if w in placed:
+            if w in row:
                 continue
             length = 1.0 if "H" in (elements[v], elements[w]) else 1.5
-            pos = _place_atom(list(coord_map.values()), coord_map[v], length, rng)
-            coord_map[w] = pos
-            placed.add(w)
+            k = len(row)
+            placed[k] = _place_atom(placed[:k], placed[row[v]], length, rng)
+            row[w] = k
             stack.append(w)
-    return np.stack([coord_map[k] for k in range(len(elements))])
+    return placed[[row[k] for k in range(len(elements))]]
 
 
 def make_molecule(rng: np.random.Generator, sigma: float = 0.3,

@@ -300,10 +300,11 @@ def build_graph(atoms: list[Atom], bonds: list[Bond], ref_conformer: Conformer,
     """
     if ref_conformer.n_atoms != len(atoms):
         raise ValueError("conformer atom count does not match atom list")
-    bonded = {Bond(b.i, b.j, b.order).pair for b in bonds}
+    bonded = np.zeros((len(atoms),) * 2, dtype=bool)
+    for b in bonds:
+        bonded[b.pair] = True
     pairs = pairs_within_cutoff(ref_conformer.coords, cutoff_angstrom)
-    aux = [(int(i), int(j)) for i, j in pairs if (int(i), int(j)) not in bonded]
-    return MolecularGraph(atoms, bonds, aux)
+    return MolecularGraph(atoms, bonds, pairs[~bonded[pairs[:, 0], pairs[:, 1]]].tolist())
 
 
 def write_conformer(graph: MolecularGraph, conformer: Conformer,

@@ -6,7 +6,8 @@ the index arrays the model reads on every pass are computed on first use
 and stored in the object's private ``_topology`` cache:
 
 - per graph: the atom feature matrix, the directed edge set, the 1/2-hop
-  pairs and the edge set of every atom subset the decoder refines;
+  pairs, the edge set of every atom subset the decoder refines and the
+  moving side of every bond a torsion turns;
 - per mapping: the atom-to-bead index and inverse bead sizes, and, for each
   cutoff, the bead graph's edge set and the bead decode order.
 
@@ -141,6 +142,29 @@ def local_edges(graph: MolecularGraph, atoms) -> tuple[np.ndarray, np.ndarray, n
     """
     atoms = tuple(atoms)
     return _cached(graph._topology, ("local_edges", atoms), _build_local_edges, graph, atoms)
+
+
+def _build_torsion_side(graph: MolecularGraph, bond: int) -> np.ndarray:
+    b = graph.bonds[bond]
+    severed = ((b.i, b.j), (b.j, b.i))
+    adj = graph.adjacency()
+    seen = {b.j}
+    stack = [b.j]
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if w not in seen and (v, w) not in severed:
+                seen.add(w)
+                stack.append(w)
+    side = np.asarray(sorted(seen), dtype=np.intp)
+    _readonly(side)
+    return side
+
+
+def torsion_side(graph: MolecularGraph, bond: int) -> np.ndarray:
+    """The atoms a torsion about ``graph.bonds[bond]`` turns: those reachable
+    from the bond's second atom without crossing the bond, in index order."""
+    return _cached(graph._topology, ("torsion_side", bond), _build_torsion_side, graph, bond)
 
 
 # -- per mapping -----------------------------------------------------------------

@@ -98,6 +98,9 @@ def molecule_loss(store: ParameterStore, cfg: ModelConfig, mol: ToyMolecule,
     b1 = annealed_beta1(epoch) if run.preset == "elbo-annealed" else run.weights.beta1
     ref_c, _ = center(mol.ref.coords)
     if ot:
+        if len(mol.truth_ensemble) < run.ot_samples:
+            raise ValueError(f"the ot preset reads ot_samples={run.ot_samples} truth "
+                             f"conformers, but the molecule has {len(mol.truth_ensemble)}")
         truth = [center(t.coords)[0] for t in mol.truth_ensemble[:run.ot_samples]]
         blocks = decode_blocks(mapping, "ot")
     else:

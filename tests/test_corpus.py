@@ -1,13 +1,16 @@
-"""Synthetic corpus generator: determinism, chemistry invariants, and the
-relationship between the exact and approximate conformers."""
+"""Synthetic corpus generator: determinism, chemistry invariants, the
+relationship between the exact and approximate conformers, and equality with
+a scalar reference builder."""
 
 import numpy as np
 import pytest
 
-from coarsegen.coarsen import find_rotatable_bonds
-from coarsegen.corpus import apply_torsions, make_corpus, make_molecule
+from coarsegen.coarsen import coarse_grain, find_rotatable_bonds
+from coarsegen.corpus import (_build_topology, _rotation_about_axis, apply_torsions,
+                              make_corpus, make_molecule)
 from coarsegen.geometry import aligned_rmsd
-from coarsegen.molio import Conformer
+from coarsegen.kernels import pairs_within_cutoff
+from coarsegen.molio import AUX_CUTOFF, Atom, Bond, Conformer, MolecularGraph
 
 
 class TestDeterminism:
@@ -87,6 +90,15 @@ class TestReferenceQuality:
             got = np.linalg.norm(out[b.i] - out[b.j])
             np.testing.assert_allclose(got, want, atol=1e-9)
 
+    def test_second_apply_torsions_reads_the_cache(self):
+        mol = make_corpus(1, 5)[0]
+        graph = MolecularGraph(mol.graph.atoms, mol.graph.bonds)   # empty cache
+        angles = {idx: 0.4 + idx for idx in find_rotatable_bonds(graph)}
+        assert angles
+        first = apply_torsions(mol.gt.coords, graph, angles)
+        assert all(("torsion_side", idx) in graph._topology for idx in angles)
+        np.testing.assert_array_equal(apply_torsions(mol.gt.coords, graph, angles), first)
+
     def test_conformers_expose_validated_coords(self):
         mol = make_corpus(1, 6)[0]
         assert isinstance(mol.ref, Conformer)
@@ -100,3 +112,116 @@ class TestSingleMolecule:
         b = make_molecule(rng)      # stream advances: different molecule
         assert (a.gt.coords.shape != b.gt.coords.shape
                 or np.abs(a.gt.coords - b.gt.coords).max() > 0)
+
+
+# -- scalar reference builder ------------------------------------------------------
+# The corpus builder atom by atom and pair by pair: one np.linalg.norm per
+# placed atom in the clash check, one rot @ v per turned atom, a fresh BFS
+# per torsion and a Python filter of bonded pairs. make_corpus must equal it
+# bit for bit.
+
+def _scalar_place_atom(coords, anchor, length, rng, min_sep=0.9):
+    for _ in range(200):
+        direction = rng.standard_normal(3)
+        direction /= np.linalg.norm(direction)
+        pos = anchor + length * direction
+        if all(np.linalg.norm(pos - c) > min_sep for c in coords):
+            return pos
+    return pos
+
+
+def _scalar_component_side(n, bonds, severed, side):
+    adj = [[] for _ in range(n)]
+    for i, j in bonds:
+        if {i, j} == set(severed):
+            continue
+        adj[i].append(j)
+        adj[j].append(i)
+    seen = {side}
+    stack = [side]
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def _scalar_apply_torsions(coords, graph, angles):
+    out = coords.copy()
+    bond_pairs = [(b.i, b.j) for b in graph.bonds]
+    for bond_idx, angle in angles.items():
+        b = graph.bonds[bond_idx]
+        side = _scalar_component_side(graph.n_atoms, bond_pairs, (b.i, b.j), b.j)
+        rot = _rotation_about_axis(out[b.j] - out[b.i], angle)
+        pivot = out[b.i]
+        for a in side:
+            out[a] = rot @ (out[a] - pivot) + pivot
+    return out
+
+
+def _scalar_embed(elements, bonds, rng):
+    adj = {k: [] for k in range(len(elements))}
+    for i, j in bonds:
+        adj[i].append(j)
+        adj[j].append(i)
+    stack = [0]
+    coord_map = {0: np.zeros(3)}
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if w in coord_map:
+                continue
+            length = 1.0 if "H" in (elements[v], elements[w]) else 1.5
+            coord_map[w] = _scalar_place_atom(list(coord_map.values()), coord_map[v],
+                                           length, rng)
+            stack.append(w)
+    return np.stack([coord_map[k] for k in range(len(elements))])
+
+
+def _scalar_molecule(rng, sigma=0.3, n_truth=5, torsion_scale=1.0):
+    """gt, ref and truth coordinates, aux edges and bead assignment."""
+    elements, bond_pairs, _ = _build_topology(rng)
+    heavy_deg = [0] * len(elements)
+    for i, j in bond_pairs:
+        heavy_deg[i] += elements[j] != "H"
+        heavy_deg[j] += elements[i] != "H"
+    atoms = [Atom(el, 0, heavy_deg[k], False) for k, el in enumerate(elements)]
+    bonds = [Bond(i, j, "single") for i, j in bond_pairs]
+    gt = _scalar_embed(elements, bond_pairs, rng)
+    bare = MolecularGraph(atoms, bonds)
+    rot = find_rotatable_bonds(bare)
+
+    def variant(noise_sigma):
+        angles = {idx: torsion_scale * float(rng.uniform(-np.pi, np.pi)) for idx in rot}
+        out = _scalar_apply_torsions(gt, bare, angles)
+        if noise_sigma > 0:
+            out = out + rng.normal(0.0, noise_sigma, size=out.shape)
+        return out
+
+    ref = variant(sigma)
+    truth = [variant(0.0) for _ in range(n_truth)]
+    bonded = {b.pair for b in bonds}
+    aux = [(int(i), int(j)) for i, j in pairs_within_cutoff(ref, AUX_CUTOFF)
+           if (int(i), int(j)) not in bonded]
+    mapping = coarse_grain(MolecularGraph(atoms, bonds, aux), Conformer(ref))
+    return gt, ref, truth, tuple(aux), tuple(mapping.assignment)
+
+
+class TestScalarReference:
+    @pytest.mark.parametrize("settings", [
+        {}, {"n_truth": 16}, {"sigma": 0.0, "torsion_scale": 0.5}])
+    def test_make_corpus_equals_scalar_builder(self, settings):
+        for seed in range(50):
+            mol = make_corpus(1, seed, **settings)[0]
+            gt, ref, truth, aux, assignment = _scalar_molecule(
+                np.random.default_rng(seed), **settings)
+            np.testing.assert_array_equal(mol.gt.coords, gt)
+            np.testing.assert_array_equal(mol.ref.coords, ref)
+            assert len(mol.truth_ensemble) == len(truth)
+            for t, want in zip(mol.truth_ensemble, truth):
+                np.testing.assert_array_equal(t.coords, want)
+            assert mol.graph.aux_edges == aux
+            assert tuple(mol.mapping.assignment) == assignment
+

@@ -69,7 +69,7 @@ class TestTopologyCache:
         edges = topology.directed_edges(graph)
         arrays = [topology.atom_features(graph), edges.src, edges.dst, edges.feats,
                   edges.inv_degree, *topology.hop12_index(graph),
-                  *topology.local_edges(graph, [0, 1]),
+                  *topology.local_edges(graph, [0, 1]), topology.torsion_side(graph, 1),
                   *topology.pooling_index(mapping),
                   topology.bead_edges(graph, mapping, 4.0).src, mapping.bead_centroids]
         for a in arrays:

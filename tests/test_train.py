@@ -361,6 +361,16 @@ class TestFailureModes:
         with pytest.raises((RuntimeError, ValueError)):
             train(run, corpus=corpus)
 
+    @pytest.mark.parametrize("n_truth", [0, 2])
+    def test_ot_needs_ot_samples_truths(self, n_truth):
+        """``ot`` decodes K = ``ot_samples`` paths; a molecule with fewer
+        truth conformers is refused, not trained on fewer paths."""
+        run = RunConfig(preset="ot", ot_samples=4, **SMALL)
+        mol = make_corpus(1, 0, n_truth=n_truth)[0]
+        with pytest.raises(ValueError, match=f"ot_samples=4 .* has {n_truth}$"):
+            molecule_loss(ParameterStore(seed=0), run.model_config(), mol, run, 0,
+                          np.random.default_rng(0))
+
     def test_one_weights_object_for_annealed_then_fixed_run(self):
         """An annealed config leaves the caller's weights as they were, so a
         later ``elbo-ar`` run with the same object keeps its own beta1."""
