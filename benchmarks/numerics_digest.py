@@ -29,6 +29,10 @@ Each line digests the raw float64 bytes of:
 - ``ot-k5``: as ``ot`` with K = 5, every truth conformer;
 - ``generate`` / ``generate-ot``: 40 conformers drawn with
   ``decoder.generate`` in the ``ar`` and in the ``ot`` decode mode;
+- ``generate-repeat``: four successive ``decoder.generate`` calls for each of
+  4 molecules, with an in-place write to an encoder parameter
+  (``enc.main.emb.w``) before the third and to a prior parameter
+  (``lat.prior.vn.w0``) before the fourth;
 - ``rmsd_matrix``: the RMSD matrices of 30 random stack pairs;
 - ``emd``: the plan and value of ``losses.emd_solve`` on 200 random square
   costs, n = 2 to 6 (training solves K x K costs). Empty plan cells are
@@ -117,6 +121,23 @@ def draws(mols, mode: str) -> tuple[str, dict]:
             named[f"mol{i}/draw{j}"] = decoder.generate(
                 store, cfg, mol.graph, mol.mapping, mol.ref.coords, order, rng,
                 mode=mode).coords
+    return hashed(named)
+
+
+def repeat_draws(mols) -> tuple[str, dict]:
+    cfg = train.RunConfig().model_config()
+    store = ParameterStore(seed=12)
+    rng = np.random.default_rng(13)
+    named = {}
+    for i, mol in enumerate(mols[:4]):
+        order = coarsen.order_beads(
+            mol.mapping, coarsen.build_bead_graph(mol.graph, mol.mapping, cfg.aux_cutoff))
+        for j in range(4):
+            if j >= 2:
+                name = "enc.main.emb.w" if j == 2 else "lat.prior.vn.w0"
+                store[name].data[...] += 0.01
+            named[f"mol{i}/draw{j}"] = decoder.generate(
+                store, cfg, mol.graph, mol.mapping, mol.ref.coords, order, rng).coords
     return hashed(named)
 
 
@@ -210,6 +231,7 @@ def main() -> None:
         "elbo-annealed": lambda: loss_and_grads("elbo-annealed", mols),
         "generate": lambda: draws(mols, "ar"),
         "generate-ot": lambda: draws(mols, "ot"),
+        "generate-repeat": lambda: repeat_draws(mols),
         "rmsd_matrix": rmsd_matrices,
         "emd": emd_plans,
         "train": checkpoint,

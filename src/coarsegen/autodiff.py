@@ -209,8 +209,11 @@ def as_tensor(x) -> Tensor:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function of an array, overflow-safe for large |x|."""
     # evaluate exp on the non-positive branch only, so huge |x| can't overflow
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e)
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    # 1 where x >= 0 (e <= 1 there), else e (e >= +0); a NaN stays NaN
+    out = np.maximum(e, x >= 0)
     e += 1.0
     out /= e
     return out

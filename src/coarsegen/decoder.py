@@ -14,10 +14,20 @@ Only later blocks read a block's features, so the last layer of the last
 block (of the one block in a single pass) skips its feature update, but
 still creates that update's parameters, in the same order, so a fresh
 store draws the same values.
+
+The learned prior reads the reference alone, so :func:`generate` and
+:func:`generate_ensemble` keep, per parameter store, the last prior they
+computed and return it again while its inputs are unchanged: the same graph
+and mapping objects, an equal config, a bitwise-equal centred reference, and
+every parameter the store held then still the same ``Tensor`` with
+bitwise-equal data. Any other call computes it afresh, so the cache never
+changes a bit of any output.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import weakref
 from collections.abc import Sequence
 
 import numpy as np
@@ -26,7 +36,7 @@ from . import topology
 from .autodiff import Tensor, concat, no_grad, segment_sum, take
 from .coarsen import CGMapping
 from .encoder import center, encode_reference
-from .latent import prior_params, sample
+from .latent import GaussianLatent, prior_params, sample
 from .molio import Conformer, MolecularGraph
 from .nn import (ETA, ModelConfig, affine, attention, attention_params, mlp, mlp_params,
                  vn_mlp, vn_norms)
@@ -210,6 +220,46 @@ def decode(store: ParameterStore, cfg: ModelConfig, z: Tensor,
     return concat(coord_blocks, axis=0)[inverse]
 
 
+# The last reference prior of each store and what it was computed from (see
+# _reference_prior). Weak keys: a dropped store frees its entry, and a new or
+# deep-copied store starts without one.
+_PRIORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _param_bytes(params: tuple) -> bytes:
+    return b"".join([t.data.tobytes() for _, t in params])
+
+
+def _reference_prior(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
+                     mapping: CGMapping, ref_c: np.ndarray) -> GaussianLatent:
+    """``prior_params(encode_reference(...))`` of the centred reference, with
+    no tape and read-only arrays.
+
+    The store's entry is returned when the graph and mapping are the same
+    objects (held, so their ids cannot be reused), ``cfg`` is equal,
+    ``ref_c`` is bitwise equal, and every parameter the store held when the
+    entry was made is still the same ``Tensor`` under its name, with
+    bitwise-equal data. The encode reads no parameter created after it, so a
+    hit returns the arrays a fresh computation would.
+    """
+    ref_key = (ref_c.shape, ref_c.tobytes())
+    entry = _PRIORS.get(store)
+    if entry is not None:
+        e_graph, e_mapping, e_cfg, e_ref, params, data, prior = entry
+        if (e_graph is graph and e_mapping is mapping and e_cfg == cfg and e_ref == ref_key
+                and all(store.params.get(name) is t for name, t in params)
+                and _param_bytes(params) == data):
+            return prior
+    with no_grad():
+        prior = prior_params(store, cfg, encode_reference(store, cfg, graph, mapping, ref_c))
+    prior.mu.data.setflags(write=False)
+    prior.log_var.data.setflags(write=False)
+    params = tuple(store.params.items())
+    _PRIORS[store] = (graph, mapping, dataclasses.replace(cfg), ref_key, params,
+                      _param_bytes(params), prior)
+    return prior
+
+
 def generate_ensemble(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
                       mapping: CGMapping, ref_coords: np.ndarray, order: Sequence[int],
                       rng: np.random.Generator, num: int, mode: str = "ar",
@@ -219,19 +269,24 @@ def generate_ensemble(store: ParameterStore, cfg: ModelConfig, graph: MolecularG
 
     The reference is encoded and the prior computed once; the draws use
     ``rng`` in turn, so the result equals ``num`` successive :func:`generate`
-    calls. ``noise`` (num x beads x channels x 3) overrides the drawn eps;
-    another shape raises ``ValueError``. The draws record no tape (see
+    calls. The store keeps that prior for the next call: it is reused only
+    while the graph and mapping objects, the config, the centred reference's
+    bits and every parameter's ``Tensor`` and bits are the same, so reuse
+    never changes a bit. ``num`` below 1 raises ``ValueError``. ``noise``
+    (num x beads x channels x 3) overrides the drawn eps; another shape
+    raises ``ValueError``. The draws record no tape (see
     :func:`~coarsegen.autodiff.no_grad`).
     """
+    if num < 1:
+        raise ValueError(f"num must be at least 1, got {num}")
     blocks = decode_blocks(mapping, mode, order)
     want = (num, mapping.n_beads, cfg.latent_channels, 3)
     if noise is not None and np.shape(noise) != want:
         raise ValueError(f"noise must have shape {want}, got {np.shape(noise)}")
     ref_c, centroid = center(np.asarray(ref_coords))
+    prior = _reference_prior(store, cfg, graph, mapping, ref_c)
     out = []
     with no_grad():
-        z_ref = encode_reference(store, cfg, graph, mapping, ref_c)
-        prior = prior_params(store, cfg, z_ref)
         for i in range(num):
             z_sample = sample(prior, rng, noise=None if noise is None else noise[i])
             coords = decode(store, cfg, z_sample, mapping, ref_c, graph, blocks)
@@ -243,6 +298,11 @@ def generate(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
              mapping: CGMapping, ref_coords: np.ndarray, order: Sequence[int],
              rng: np.random.Generator, mode: str = "ar",
              noise: np.ndarray | None = None) -> Conformer:
-    """Sample a conformer from the learned prior conditioned on the reference."""
+    """Sample a conformer from the learned prior conditioned on the reference.
+
+    Successive calls for one store, molecule and reference encode the
+    reference once (see :func:`generate_ensemble`), bit for bit as if each
+    call encoded it.
+    """
     return generate_ensemble(store, cfg, graph, mapping, ref_coords, order, rng, 1,
                              mode=mode, noise=None if noise is None else noise[None])[0]

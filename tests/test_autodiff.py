@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsegen.autodiff import (Tensor, _scatter_rows, as_tensor, backward,
+from coarsegen.autodiff import (Tensor, _scatter_rows, _sigmoid, as_tensor, backward,
                                 concat, no_grad, segment_sum, take)
 
 RNG = np.random.default_rng(42)
@@ -286,6 +286,36 @@ class TestScatterRows:
         assert_bit_identical(t.grad, add_at(g, ids, 6))
         out = segment_sum(Tensor(g[:6]), ids[:6], 6).data
         assert_bit_identical(out, add_at(g[:6], ids[:6], 6))
+
+
+def sigmoid_where(x: np.ndarray) -> np.ndarray:
+    """The ``np.where`` form of ``_sigmoid``, kept as its reference."""
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
+
+
+class TestSigmoid:
+    def test_equals_where_form_bit_for_bit(self):
+        """Signed zeros, infinities, NaN, subnormals, the overflow range and
+        random values of every sign and scale give the same bits."""
+        rng = np.random.default_rng(5)
+        edges = [0.0, -0.0, 800.0, -800.0, np.nan, -np.nan, np.inf, -np.inf,
+                 5e-324, -5e-324, 1e-300, -1e-300, 36.8, -36.8, 745.2, -745.2]
+        x = np.concatenate([edges, rng.standard_normal(20000)
+                            * 10.0 ** rng.integers(-4, 4, size=20000)])
+        x = x.reshape(4, -1, 4)
+        got, want = _sigmoid(x), sigmoid_where(x)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_leaves_input_unchanged(self):
+        x = RNG.standard_normal((3, 5))
+        before = x.copy()
+        _sigmoid(x)
+        assert np.array_equal(x, before)
 
 
 class TestPathAxis:

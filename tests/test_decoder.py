@@ -1,19 +1,25 @@
 """Backmapping decoder: reference anchoring, channel selection semantics,
-autoregressive bookkeeping, decode blocks, equivariance of full generation."""
+autoregressive bookkeeping, decode blocks, equivariance of full generation,
+the per-store prior cache of sampling."""
 
 import contextlib
+import copy
+import dataclasses
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
 
 from coarsegen import decoder, topology
 from coarsegen.autodiff import Tensor, backward
-from coarsegen.corpus import ToyMolecule
+from coarsegen.coarsen import CGMapping
+from coarsegen.corpus import ToyMolecule, make_corpus
 from coarsegen.decoder import (channel_selection, decode, decode_blocks, generate,
                                generate_ensemble)
 from coarsegen.geometry import random_rotation
-from coarsegen.molio import Conformer
+from coarsegen.molio import Conformer, MolecularGraph
 from coarsegen.nn import ModelConfig
 from coarsegen.params import ParameterStore
 from coarsegen.train import RunConfig, molecule_loss
@@ -261,6 +267,204 @@ class TestGenerate:
         out = generate(store, cfg, graph, mapping, ref, order,
                        np.random.default_rng(0), mode="ot")
         assert out.coords.shape == (graph.n_atoms, 3)
+
+    @pytest.mark.parametrize("num", [0, -3])
+    def test_num_below_one_rejected_before_encoding(self, mol, cfg, store, num,
+                                                    monkeypatch):
+        graph, mapping, _, ref, order = mol
+        monkeypatch.setattr(decoder, "encode_reference", None)   # any call fails
+        with pytest.raises(ValueError, match=f"num must be at least 1, got {num}"):
+            generate_ensemble(store, cfg, graph, mapping, ref, order,
+                              np.random.default_rng(0), num)
+
+
+def fresh_copy(store: ParameterStore) -> ParameterStore:
+    """A new store holding copies of ``store``'s parameter values."""
+    fresh = ParameterStore(seed=99)
+    fresh.params = {n: Tensor(t.data.copy(), requires_grad=True)
+                    for n, t in store.params.items()}
+    return fresh
+
+
+def with_element(graph: MolecularGraph, atom: int, element: str) -> MolecularGraph:
+    atoms = list(graph.atoms)
+    atoms[atom] = dataclasses.replace(atoms[atom], element=element)
+    return MolecularGraph(atoms, graph.bonds, graph.aux_edges)
+
+
+def regrouped(graph: MolecularGraph, mapping: CGMapping, ref: np.ndarray) -> CGMapping:
+    """``mapping`` with one atom of a severed bond moved into the bead across
+    the bond, from a bead it does not empty."""
+    assignment = list(mapping.assignment)
+    bonds = [graph.bonds[k] for k in mapping.severed_bonds]
+    ends = [(bd.i, bd.j) for bd in bonds] + [(bd.j, bd.i) for bd in bonds]
+    moved, target = next((a, b) for a, b in ends if len(mapping.members[assignment[a]]) > 1)
+    assignment[moved] = assignment[target]
+    members = [[a for a, b in enumerate(assignment) if b == bead]
+               for bead in range(mapping.n_beads)]
+    severed = [k for k, bd in enumerate(graph.bonds) if assignment[bd.i] != assignment[bd.j]]
+    return CGMapping(assignment, members, np.array([ref[m].mean(axis=0) for m in members]),
+                     severed)
+
+
+def write_enc(store, cfg, graph, mapping, ref, order):
+    store["enc.main.emb.w"].data[...] += 0.5
+    return cfg, graph, mapping, ref, order
+
+
+def write_prior(store, cfg, graph, mapping, ref, order):
+    store["lat.prior.vn.w0"].data[...] *= 1.5
+    return cfg, graph, mapping, ref, order
+
+
+def gradient_step(step):
+    def change(store, cfg, graph, mapping, ref, order):
+        for t in store.params.values():
+            t.grad = np.full(t.data.shape, 0.3)
+        getattr(store, step)(0.05)
+        return cfg, graph, mapping, ref, order
+    return change
+
+
+def replace_tensor(store, cfg, graph, mapping, ref, order):
+    name = "lat.prior.lv.b1"
+    store.params[name] = Tensor(store[name].data + 1.0, requires_grad=True)
+    return cfg, graph, mapping, ref, order
+
+
+def other_molecule(store, cfg, graph, mapping, ref, order):
+    mol = make_corpus(1, 3)[0]
+    return (cfg, mol.graph, mol.mapping, mol.ref.coords,
+            topology.bead_order(mol.graph, mol.mapping, cfg.aux_cutoff))
+
+
+def other_graph(store, cfg, graph, mapping, ref, order):
+    return cfg, with_element(graph, 0, "N"), mapping, ref, order
+
+
+def other_mapping(store, cfg, graph, mapping, ref, order):
+    moved = regrouped(graph, mapping, ref)
+    return cfg, graph, moved, ref, topology.bead_order(graph, moved, cfg.aux_cutoff)
+
+
+def other_cutoff(store, cfg, graph, mapping, ref, order):
+    return dataclasses.replace(cfg, aux_cutoff=2.0), graph, mapping, ref, order
+
+
+def rotated(store, cfg, graph, mapping, ref, order):
+    return cfg, graph, mapping, ref @ random_rotation(np.random.default_rng(1)).T, order
+
+
+def translated(store, cfg, graph, mapping, ref, order):
+    return cfg, graph, mapping, ref + np.array([0.3, -7.1, 2.9]), order
+
+
+class TestPriorCache:
+    """Successive draws for one store, molecule and reference encode the
+    reference once, and any change to what the prior reads computes it
+    afresh: every draw has the bits of a draw from a fresh store."""
+
+    @pytest.fixture
+    def mol(self, cfg):
+        """Four beads, whose bead graph changes with the cutoff."""
+        mol = make_corpus(1, 1)[0]
+        order = topology.bead_order(mol.graph, mol.mapping, cfg.aux_cutoff)
+        return mol.graph, mol.mapping, mol.gt.coords, mol.ref.coords, order
+
+    @pytest.fixture
+    def encodes(self, monkeypatch):
+        calls = []
+        original = decoder.encode_reference
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(decoder, "encode_reference", counted)
+        return calls
+
+    def test_successive_draws_encode_once(self, mol, cfg, encodes):
+        graph, mapping, _, ref, order = mol
+        rng = np.random.default_rng(8)
+        store = ParameterStore(seed=4)
+        one_by_one = [generate(store, cfg, graph, mapping, ref, order, rng).coords
+                      for _ in range(32)]
+        assert len(encodes) == 1
+        batch = generate_ensemble(ParameterStore(seed=4), cfg, graph, mapping, ref, order,
+                                  np.random.default_rng(8), 32)
+        assert len(encodes) == 2
+        for a, b in zip(one_by_one, batch):
+            assert np.array_equal(a, b.coords)
+
+    def test_modes_share_the_prior(self, mol, cfg, encodes):
+        graph, mapping, _, ref, order = mol
+        store = ParameterStore(seed=4)
+        for mode in ("ar", "ot", "ar"):
+            generate(store, cfg, graph, mapping, ref, order, np.random.default_rng(0),
+                     mode=mode)
+        assert len(encodes) == 1
+
+    @pytest.mark.parametrize("change", [
+        write_enc, write_prior, gradient_step("adam_step"), gradient_step("sgd_step"),
+        replace_tensor, other_molecule, other_graph, other_mapping, other_cutoff,
+        rotated, translated])
+    def test_change_gives_cold_bits(self, mol, cfg, change, encodes):
+        graph, mapping, _, ref, order = mol
+        store = ParameterStore(seed=4)
+        generate(store, cfg, graph, mapping, ref, order, np.random.default_rng(0))
+        before = generate(store, cfg, graph, mapping, ref, order,
+                          np.random.default_rng(1)).coords
+        assert len(encodes) == 1
+        args = change(store, cfg, graph, mapping, ref, order)
+        warm = generate(store, *args, np.random.default_rng(1)).coords
+        cold = generate(fresh_copy(store), *args, np.random.default_rng(1)).coords
+        assert np.array_equal(warm, cold)
+        if change is not translated:      # its centred reference may be the same bits
+            assert len(encodes) == 3
+            assert warm.shape != before.shape or not np.allclose(warm, before, atol=1e-6)
+
+    def test_stores_share_no_entry(self, mol, cfg, encodes):
+        graph, mapping, _, ref, order = mol
+        store = ParameterStore(seed=4)
+        twin = ParameterStore(seed=4)
+        for s in (store, twin):
+            generate(s, cfg, graph, mapping, ref, order, np.random.default_rng(0))
+        assert len(encodes) == 2
+        copied = copy.deepcopy(store)
+        generate(copied, cfg, graph, mapping, ref, order, np.random.default_rng(0))
+        assert len(encodes) == 3
+        for s in (store, twin, copied):
+            generate(s, cfg, graph, mapping, ref, order, np.random.default_rng(0))
+        assert len(encodes) == 3
+
+    def test_keeps_no_store_alive(self, mol, cfg):
+        graph, mapping, _, ref, order = mol
+        store = ParameterStore(seed=4)
+        generate(store, cfg, graph, mapping, ref, order, np.random.default_rng(0))
+        alive = weakref.ref(store)
+        del store
+        gc.collect()
+        assert alive() is None
+
+    def test_cached_prior_is_read_only_and_records_no_tape(self, mol, cfg, monkeypatch):
+        graph, mapping, _, ref, order = mol
+        priors = []
+        original = decoder.prior_params
+
+        def kept(*args):
+            priors.append(original(*args))
+            return priors[-1]
+
+        monkeypatch.setattr(decoder, "prior_params", kept)
+        store = ParameterStore(seed=4)
+        for _ in range(3):
+            generate(store, cfg, graph, mapping, ref, order, np.random.default_rng(0))
+        (prior,) = priors
+        for t in (prior.mu, prior.log_var):
+            assert not t.requires_grad and t._parents == () and t._backward_fn is None
+            assert not t.data.flags.writeable
+            with pytest.raises(ValueError):
+                t.data[...] = 0.0
 
 
 class TestNoGradSampling:
