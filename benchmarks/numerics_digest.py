@@ -21,6 +21,10 @@ Each line digests the raw float64 bytes of:
 - ``corpus``: for each of ``make_corpus(1, s)``, s = 0 to 39, at 5 and at
   16 truth conformers, the ground-truth, reference and truth coordinates,
   the auxiliary edges and the bead assignment;
+- ``corpus-variants``: the same arrays for ``make_corpus(2, s)``, s = 0 to 19,
+  at each of ``CORPUS_VARIANTS``: the defaults, 0, 1 and 16 truth
+  conformers, a noise-free reference (``sigma=0``) and torsion scales 0.5
+  and 0;
 - ``ot`` / ``elbo-ar`` / ``elbo-annealed``: the loss of each of 10 toy
   molecules at epoch 1 from a fresh parameter store, and every parameter
   gradient after its backward (at epoch 1 the annealed KL weight is the
@@ -77,18 +81,35 @@ def hashed(named: dict) -> tuple[str, dict]:
     return digest(named.values()), named
 
 
+def add_molecule(named: dict, key: str, mol) -> None:
+    named[f"{key}/gt"] = mol.gt.coords
+    named[f"{key}/ref"] = mol.ref.coords
+    for k, t in enumerate(mol.truth_ensemble):
+        named[f"{key}/truth{k}"] = t.coords
+    named[f"{key}/aux"] = np.asarray(mol.graph.aux_edges, dtype=np.float64)
+    named[f"{key}/beads"] = np.asarray(mol.mapping.assignment, dtype=np.float64)
+
+
 def corpus_arrays() -> tuple[str, dict]:
     named = {}
     for n_truth in (5, 16):
         for s in range(40):
-            mol = corpus.make_corpus(1, s, n_truth=n_truth)[0]
-            key = f"truth{n_truth}/seed{s}"
-            named[f"{key}/gt"] = mol.gt.coords
-            named[f"{key}/ref"] = mol.ref.coords
-            for k, t in enumerate(mol.truth_ensemble):
-                named[f"{key}/truth{k}"] = t.coords
-            named[f"{key}/aux"] = np.asarray(mol.graph.aux_edges, dtype=np.float64)
-            named[f"{key}/beads"] = np.asarray(mol.mapping.assignment, dtype=np.float64)
+            add_molecule(named, f"truth{n_truth}/seed{s}",
+                         corpus.make_corpus(1, s, n_truth=n_truth)[0])
+    return hashed(named)
+
+
+CORPUS_VARIANTS = [{}, {"n_truth": 16}, {"sigma": 0.0, "torsion_scale": 0.5},
+                   {"sigma": 0.0}, {"n_truth": 0}, {"n_truth": 1},
+                   {"torsion_scale": 0.5}, {"sigma": 0.0, "torsion_scale": 0.0}]
+
+
+def corpus_variant_arrays() -> tuple[str, dict]:
+    named = {}
+    for v, settings in enumerate(CORPUS_VARIANTS):
+        for s in range(20):
+            for i, mol in enumerate(corpus.make_corpus(2, s, **settings)):
+                add_molecule(named, f"settings{v}/seed{s}/mol{i}", mol)
     return hashed(named)
 
 
@@ -225,6 +246,7 @@ def main() -> None:
     mols = corpus.make_corpus(N_MOLECULES, 11, n_truth=5)
     lines = {
         "corpus": corpus_arrays,
+        "corpus-variants": corpus_variant_arrays,
         "ot": lambda: loss_and_grads("ot", mols),
         "ot-k5": lambda: loss_and_grads("ot", mols, ot_samples=5),
         "elbo-ar": lambda: loss_and_grads("elbo-ar", mols),

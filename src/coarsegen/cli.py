@@ -104,6 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated prefix sizes for a budget sweep")
     p.add_argument("--histogram", default=None,
                    help="write RMSD histogram (edges/counts) to this path")
+    p.add_argument("--heavy-only", action="store_true",
+                   help="score RMSD over the non-hydrogen atoms only")
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
     p.add_argument("--seed", type=int, default=None)
@@ -237,8 +239,13 @@ def _cmd_eval(args) -> int:
     gen = [c.coords for _, c in gen_records]
     truth = [c.coords for _, c in truth_records]
     budgets = [int(b) for b in args.budgets.split(",")] if args.budgets else []
+    atoms = None
+    if args.heavy_only:
+        atoms = [k for k, el in enumerate(want) if el != "H"]
+        if not atoms:
+            raise SystemExit(f"error: --heavy-only: {first} has no heavy atom")
     # one RMSD matrix serves every budget and, as its full prefix, the report
-    *sweep, report = budget_sweep(gen, truth, budgets + [len(gen)], args.delta)
+    *sweep, report = budget_sweep(gen, truth, budgets + [len(gen)], args.delta, atoms)
     print(format_report(report))
     for b, rep in zip(budgets, sweep):
         print(f"budget {b}: cov_recall {rep.cov_recall:.2f} % "

@@ -29,21 +29,13 @@ class ToyMolecule:
 _EYE = np.eye(3)
 
 
-def _rotation_about_axis(axis: np.ndarray, angle: float) -> np.ndarray:
-    axis = axis / np.linalg.norm(axis)
-    k = np.array([[0, -axis[2], axis[1]],
-                  [axis[2], 0, -axis[0]],
-                  [-axis[1], axis[0], 0]])
-    return _EYE + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
-
-
 def _place_atom(placed: np.ndarray, anchor: np.ndarray, length: float,
                 rng: np.random.Generator, min_sep: float = 0.9) -> np.ndarray:
     """A point ``length`` from ``anchor`` in a random direction, more than
     ``min_sep`` from every row of ``placed``; after 200 tries, the last one."""
     for _ in range(200):
         direction = rng.standard_normal(3)
-        direction /= np.linalg.norm(direction)
+        direction /= np.sqrt(direction.dot(direction))   # np.linalg.norm's own ops
         pos = anchor + length * direction
         d = pos - placed
         # a stacked (1, 3) @ (3, 1) product is np.linalg.norm's dot, row by row
@@ -52,21 +44,44 @@ def _place_atom(placed: np.ndarray, anchor: np.ndarray, length: float,
     return pos  # crowded fallback; still finite
 
 
+def _torsion_stack(coords: np.ndarray, graph: MolecularGraph, bonds: list[int],
+                   angles: np.ndarray) -> np.ndarray:
+    """One copy of ``coords`` per row of ``angles`` (V, len(bonds)), each with
+    bond ``bonds[c]`` turned by its column ``c``, bond after bond.
+
+    Each bond turns its :func:`~coarsegen.topology.torsion_side` about the
+    axis from its first atom to its second, in every row at once. Every row
+    equals a lone conformer's turn bit for bit: the axis norm is the stacked
+    (1, 3) @ (3, 1) product (``np.linalg.norm``'s dot), the Rodrigues
+    matrices are stacked 3 x 3 products, and each moved atom is one stacked
+    (3, 3) @ (3, 1) product."""
+    out = np.repeat(coords[None], len(angles), axis=0)
+    sin, one_minus_cos = np.sin(angles), 1 - np.cos(angles)
+    k = np.zeros((len(angles), 3, 3))
+    for c, bond_idx in enumerate(bonds):
+        b = graph.bonds[bond_idx]
+        side = torsion_side(graph, bond_idx)
+        pivot = out[:, b.i, None]
+        axis = out[:, b.j] - out[:, b.i]
+        axis = axis / np.sqrt(axis[:, None, :] @ axis[:, :, None])[:, 0]
+        k[:, 0, 1], k[:, 0, 2] = -axis[:, 2], axis[:, 1]
+        k[:, 1, 0], k[:, 1, 2] = axis[:, 2], -axis[:, 0]
+        k[:, 2, 0], k[:, 2, 1] = -axis[:, 1], axis[:, 0]
+        rot = _EYE + sin[:, c, None, None] * k + one_minus_cos[:, c, None, None] * (k @ k)
+        moved = (out[:, side] - pivot)[..., None]
+        out[:, side] = (rot[:, None] @ moved)[..., 0] + pivot
+    return out
+
+
 def apply_torsions(coords: np.ndarray, graph: MolecularGraph,
                    angles: dict[int, float]) -> np.ndarray:
     """Rotate subtrees about rotatable bonds by the given angles (radians).
 
     Each bond turns its :func:`~coarsegen.topology.torsion_side` about the
-    axis from its first atom to its second."""
-    out = coords.copy()
-    for bond_idx, angle in angles.items():
-        b = graph.bonds[bond_idx]
-        side = torsion_side(graph, bond_idx)
-        pivot = out[b.i]
-        rot = _rotation_about_axis(out[b.j] - pivot, angle)
-        # a stacked (3, 3) @ (3, 1) product is rot @ v, atom by atom
-        out[side] = (rot @ (out[side] - pivot)[:, :, None])[:, :, 0] + pivot
-    return out
+    axis from its first atom to its second; this is the one-row call of the
+    stack :func:`make_molecule` turns."""
+    row = np.array([list(angles.values())], dtype=np.float64)
+    return _torsion_stack(coords, graph, list(angles), row)[0]
 
 
 def _build_topology(rng: np.random.Generator):
@@ -125,8 +140,23 @@ def _embed(elements, bonds, rng: np.random.Generator) -> np.ndarray:
     return placed[[row[k] for k in range(len(elements))]]
 
 
+def _check_settings(sigma: float, n_truth: int, torsion_scale: float) -> None:
+    if n_truth < 0:
+        raise ValueError(f"n_truth must be at least 0, got {n_truth}")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and at least 0, got {sigma}")
+    if not np.isfinite(torsion_scale):
+        raise ValueError(f"torsion_scale must be finite, got {torsion_scale}")
+
+
 def make_molecule(rng: np.random.Generator, sigma: float = 0.3,
                   n_truth: int = 5, torsion_scale: float = 1.0) -> ToyMolecule:
+    """One molecule: its exact conformer, a reference turned at every
+    rotatable bond and displaced by Gaussian noise of scale ``sigma``, and
+    ``n_truth`` noise-free conformers turned the same way, each with angles
+    ``torsion_scale`` times uniform on [-pi, pi). The reference and the
+    truths are turned as one stack."""
+    _check_settings(sigma, n_truth, torsion_scale)
     elements, bond_pairs, _ = _build_topology(rng)
     heavy_deg = [0] * len(elements)
     for i, j in bond_pairs:
@@ -141,18 +171,16 @@ def make_molecule(rng: np.random.Generator, sigma: float = 0.3,
     bare = MolecularGraph(atoms, bonds)
     rot = find_rotatable_bonds(bare)
 
-    def torsion_variant(base: np.ndarray, noise_sigma: float) -> np.ndarray:
-        angles = {idx: torsion_scale * float(rng.uniform(-np.pi, np.pi))
-                  for idx in rot}
-        out = apply_torsions(base, bare, angles)
-        if noise_sigma > 0:
-            out = out + rng.normal(0.0, noise_sigma, size=out.shape)
-        return out
+    # the draws of one variant after another: reference angles and noise,
+    # then the truths' angles, row by row
+    ref_angles = rng.uniform(-np.pi, np.pi, size=(1, len(rot)))
+    noise = rng.normal(0.0, sigma, size=gt_coords.shape) if sigma > 0 else None
+    truth_angles = rng.uniform(-np.pi, np.pi, size=(n_truth, len(rot)))
+    angles = torsion_scale * np.concatenate([ref_angles, truth_angles])
+    stack = _torsion_stack(gt_coords, bare, rot, angles)
 
-    ref_coords = torsion_variant(gt_coords, sigma)
-    truth = [Conformer(torsion_variant(gt_coords, 0.0)) for _ in range(n_truth)]
-
-    ref = Conformer(ref_coords)
+    ref = Conformer(stack[0] + noise if noise is not None else stack[0].copy())
+    truth = [Conformer(row.copy()) for row in stack[1:]]
     graph = build_graph(atoms, bonds, ref)
     mapping = coarse_grain(graph, ref)
     return ToyMolecule(graph=graph, gt=Conformer(gt_coords), ref=ref,
@@ -162,6 +190,7 @@ def make_molecule(rng: np.random.Generator, sigma: float = 0.3,
 def make_corpus(count: int, seed: int, sigma: float = 0.3,
                 n_truth: int = 5, torsion_scale: float = 1.0) -> list[ToyMolecule]:
     """Deterministic corpus: same seed, bit-identical molecules."""
+    _check_settings(sigma, n_truth, torsion_scale)
     rng = np.random.default_rng(seed)
     return [make_molecule(rng, sigma=sigma, n_truth=n_truth,
                           torsion_scale=torsion_scale)

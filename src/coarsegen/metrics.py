@@ -4,6 +4,7 @@ sweeps."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +40,16 @@ def rmsd(c1: np.ndarray, c2: np.ndarray, heavy_only: bool = False,
     return aligned_rmsd(c1, c2)
 
 
-def build_rmsd_matrix(generated: list[np.ndarray],
-                      truth: list[np.ndarray]) -> np.ndarray:
+def build_rmsd_matrix(generated: list[np.ndarray], truth: list[np.ndarray],
+                      atoms: Sequence[int] | None = None) -> np.ndarray:
+    """Kabsch RMSD of every (generated, truth) pair, over the atoms at the
+    indices ``atoms`` (default: every atom)."""
     a = np.stack([np.asarray(g, dtype=np.float64) for g in generated])
     b = np.stack([np.asarray(t, dtype=np.float64) for t in truth])
+    if atoms is not None:
+        if len(atoms) == 0:
+            raise ValueError("the atom selection is empty")
+        a, b = a[:, atoms], b[:, atoms]
     return kernels.rmsd_matrix(a, b)
 
 
@@ -65,17 +72,20 @@ def _report_from_matrix(mat: np.ndarray, delta: float) -> EnsembleReport:
 
 
 def ensemble_report(generated: list[np.ndarray], truth: list[np.ndarray],
-                    delta: float) -> EnsembleReport:
-    """Coverage and AMR in both directions, with the full RMSD matrix."""
+                    delta: float, atoms: Sequence[int] | None = None) -> EnsembleReport:
+    """Coverage and AMR in both directions, with the full RMSD matrix, over
+    the atoms at the indices ``atoms`` (default: every atom)."""
     if not generated or not truth:
         raise ValueError("both ensembles must be nonempty")
-    return _report_from_matrix(build_rmsd_matrix(generated, truth), delta)
+    return _report_from_matrix(build_rmsd_matrix(generated, truth, atoms), delta)
 
 
 def budget_sweep(generated_pool: list[np.ndarray], truth: list[np.ndarray],
-                 budgets: list[int], delta: float) -> list[EnsembleReport]:
+                 budgets: list[int], delta: float,
+                 atoms: Sequence[int] | None = None) -> list[EnsembleReport]:
     """Reports on nested prefixes of the generated pool (recall can only
-    improve as the budget grows).
+    improve as the budget grows), over the atoms at the indices ``atoms``
+    (default: every atom).
 
     The RMSD matrix of the largest prefix is computed once; the report for a
     budget k reads its first k rows, which equal the rows of the k-prefix
@@ -88,7 +98,7 @@ def budget_sweep(generated_pool: list[np.ndarray], truth: list[np.ndarray],
         return []
     if not truth:
         raise ValueError("both ensembles must be nonempty")
-    mat = build_rmsd_matrix(generated_pool[:max(budgets)], truth)
+    mat = build_rmsd_matrix(generated_pool[:max(budgets)], truth, atoms)
     return [_report_from_matrix(mat[:k].copy(), delta) for k in budgets]
 
 

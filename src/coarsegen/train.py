@@ -58,6 +58,8 @@ class RunConfig:
                             ("epochs", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and at least 0, got {self.sigma}")
         self.model_config()     # checks the model fields
 
     def model_config(self) -> ModelConfig:

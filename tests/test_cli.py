@@ -10,7 +10,8 @@ from coarsegen.cli import build_parser, main
 from coarsegen.coarsen import coarse_grain
 from coarsegen.corpus import make_corpus
 from coarsegen.decoder import generate_ensemble
-from coarsegen.molio import MolecularGraph, build_graph, parse_sdf, write_sdf_records
+from coarsegen.molio import (Atom, Bond, Conformer, MolecularGraph, build_graph,
+                             parse_sdf, write_sdf_records)
 from coarsegen.nn import ModelConfig
 from coarsegen.params import ParameterStore
 
@@ -120,6 +121,8 @@ class TestErrorHandling:
         (["--hidden-dim", "-2"], "hidden_dim must be at least 1, got -2"),
         (["--epochs", "-1"], "epochs must be at least 0, got -1"),
         (["--corpus-size", "0"], "corpus_size must be at least 1, got 0"),
+        (["--sigma", "-1"], "sigma must be finite and at least 0, got -1.0"),
+        (["--sigma", "nan"], "sigma must be finite and at least 0, got nan"),
     ])
     def test_train_invalid_settings(self, capsys, flags, message):
         assert main(["train", "--corpus-size", "1"] + flags) == 1
@@ -220,6 +223,37 @@ class TestEval:
         msg, gen, truth = self.eval_error(tmp_path, [(mol.graph, mol.gt)],
                                           [(swapped, mol.ref)])
         assert msg == f"error: {truth}: atom 2 is O where {gen} record 0 has C (record 0)"
+
+    def test_heavy_only_ignores_hydrogen_motion(self, tmp_path, capsys):
+        """Moving hydrogens alone changes the all-atom RMSD, not the heavy-atom
+        one."""
+        mol = make_corpus(1, 0)[0]
+        hydrogens = [k for k, a in enumerate(mol.graph.atoms) if a.element == "H"]
+        moved = mol.gt.coords.copy()
+        moved[hydrogens] += 0.5 * np.random.default_rng(1).standard_normal((len(hydrogens), 3))
+        gen, truth = tmp_path / "gen.sdf", tmp_path / "truth.sdf"
+        gen.write_bytes(write_sdf_records([(mol.graph, Conformer(moved))]))
+        truth.write_bytes(write_sdf_records([(mol.graph, mol.gt)]))
+        argv = ["eval", str(gen), str(truth), "--delta", "0.1", "--budgets", "1"]
+
+        def amr(out):
+            return float(out.split("amr_recall")[1].split()[0])
+
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert amr(plain) > 0.1 and "cov_recall    0.00 %" in plain
+        assert main(argv + ["--heavy-only"]) == 0
+        heavy = capsys.readouterr().out
+        assert amr(heavy) < 1e-4 and "cov_recall    100.00 %" in heavy
+        assert "budget 1: cov_recall 100.00 %" in heavy
+
+    def test_heavy_only_needs_a_heavy_atom(self, tmp_path):
+        graph = MolecularGraph([Atom("H", 0, 0, False)] * 2, [Bond(0, 1, "single")])
+        path = tmp_path / "h2.sdf"
+        path.write_bytes(write_sdf_records([(graph, Conformer(np.eye(3)[:2]))]))
+        with pytest.raises(SystemExit, match=f"^error: --heavy-only: {path} record 0 "
+                                             "has no heavy atom$"):
+            main(["eval", str(path), str(path), "--heavy-only"])
 
     def test_histogram_file(self, two_ensembles, tmp_path, capsys):
         gen, truth = two_ensembles

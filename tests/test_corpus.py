@@ -5,9 +5,9 @@ a scalar reference builder."""
 import numpy as np
 import pytest
 
+from coarsegen import corpus
 from coarsegen.coarsen import coarse_grain, find_rotatable_bonds
-from coarsegen.corpus import (_build_topology, _rotation_about_axis, apply_torsions,
-                              make_corpus, make_molecule)
+from coarsegen.corpus import _build_topology, apply_torsions, make_corpus, make_molecule
 from coarsegen.geometry import aligned_rmsd
 from coarsegen.kernels import pairs_within_cutoff
 from coarsegen.molio import AUX_CUTOFF, Atom, Bond, Conformer, MolecularGraph
@@ -113,12 +113,58 @@ class TestSingleMolecule:
         assert (a.gt.coords.shape != b.gt.coords.shape
                 or np.abs(a.gt.coords - b.gt.coords).max() > 0)
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_conformers_own_separate_arrays(self, sigma):
+        """The reference and the truths are rows of one stack when built;
+        each conformer gets its own array, so a write to one reaches no other."""
+        mol = make_corpus(1, 3, sigma=sigma)[0]
+        arrays = [mol.gt.coords, mol.ref.coords] + [t.coords for t in mol.truth_ensemble]
+        for k, a in enumerate(arrays):
+            assert a.flags.owndata and a.flags.c_contiguous
+            before = [b.copy() for b in arrays]
+            a[...] += 1.0
+            for m, b in enumerate(arrays):
+                if m != k:
+                    np.testing.assert_array_equal(b, before[m])
+
+
+class TestSettingsFailByName:
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"n_truth": -1}, "n_truth must be at least 0, got -1"),
+        ({"sigma": -1.0}, "sigma must be finite and at least 0, got -1.0"),
+        ({"sigma": float("nan")}, "sigma must be finite and at least 0, got nan"),
+        ({"sigma": float("inf")}, "sigma must be finite and at least 0, got inf"),
+        ({"torsion_scale": float("nan")}, "torsion_scale must be finite, got nan"),
+        ({"torsion_scale": float("-inf")}, "torsion_scale must be finite, got -inf"),
+    ])
+    @pytest.mark.parametrize("build", ["make_corpus", "make_molecule"])
+    def test_invalid_setting_raises(self, build, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            if build == "make_corpus":
+                make_corpus(1, 0, **kwargs)
+            else:
+                make_molecule(np.random.default_rng(0), **kwargs)
+
+    def test_empty_corpus_still_checks(self):
+        with pytest.raises(ValueError, match="n_truth"):
+            make_corpus(0, 0, n_truth=-2)
+
 
 # -- scalar reference builder ------------------------------------------------------
 # The corpus builder atom by atom and pair by pair: one np.linalg.norm per
-# placed atom in the clash check, one rot @ v per turned atom, a fresh BFS
-# per torsion and a Python filter of bonded pairs. make_corpus must equal it
-# bit for bit.
+# placed atom in the clash check, one conformer after another with its own
+# angle draws, one Rodrigues matrix per bond and conformer, one rot @ v per
+# turned atom, a fresh BFS per torsion and a Python filter of bonded pairs.
+# make_corpus must equal it bit for bit.
+
+def _scalar_rotation(axis, angle):
+    """Rodrigues' rotation matrix about ``axis`` by ``angle``."""
+    axis = axis / np.linalg.norm(axis)
+    k = np.array([[0, -axis[2], axis[1]],
+                  [axis[2], 0, -axis[0]],
+                  [-axis[1], axis[0], 0]])
+    return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
+
 
 def _scalar_place_atom(coords, anchor, length, rng, min_sep=0.9):
     for _ in range(200):
@@ -154,7 +200,7 @@ def _scalar_apply_torsions(coords, graph, angles):
     for bond_idx, angle in angles.items():
         b = graph.bonds[bond_idx]
         side = _scalar_component_side(graph.n_atoms, bond_pairs, (b.i, b.j), b.j)
-        rot = _rotation_about_axis(out[b.j] - out[b.i], angle)
+        rot = _scalar_rotation(out[b.j] - out[b.i], angle)
         pivot = out[b.i]
         for a in side:
             out[a] = rot @ (out[a] - pivot) + pivot
@@ -180,8 +226,10 @@ def _scalar_embed(elements, bonds, rng):
     return np.stack([coord_map[k] for k in range(len(elements))])
 
 
-def _scalar_molecule(rng, sigma=0.3, n_truth=5, torsion_scale=1.0):
-    """gt, ref and truth coordinates, aux edges and bead assignment."""
+def _scalar_molecule(rng, sigma=0.3, n_truth=5, torsion_scale=1.0,
+                     rotatable=find_rotatable_bonds):
+    """gt, ref and truth coordinates, aux edges and bead assignment; one
+    variant after another, each with its own angle draws."""
     elements, bond_pairs, _ = _build_topology(rng)
     heavy_deg = [0] * len(elements)
     for i, j in bond_pairs:
@@ -191,7 +239,7 @@ def _scalar_molecule(rng, sigma=0.3, n_truth=5, torsion_scale=1.0):
     bonds = [Bond(i, j, "single") for i, j in bond_pairs]
     gt = _scalar_embed(elements, bond_pairs, rng)
     bare = MolecularGraph(atoms, bonds)
-    rot = find_rotatable_bonds(bare)
+    rot = rotatable(bare)
 
     def variant(noise_sigma):
         angles = {idx: torsion_scale * float(rng.uniform(-np.pi, np.pi)) for idx in rot}
@@ -210,18 +258,41 @@ def _scalar_molecule(rng, sigma=0.3, n_truth=5, torsion_scale=1.0):
 
 
 class TestScalarReference:
-    @pytest.mark.parametrize("settings", [
-        {}, {"n_truth": 16}, {"sigma": 0.0, "torsion_scale": 0.5}])
-    def test_make_corpus_equals_scalar_builder(self, settings):
-        for seed in range(50):
-            mol = make_corpus(1, seed, **settings)[0]
-            gt, ref, truth, aux, assignment = _scalar_molecule(
-                np.random.default_rng(seed), **settings)
-            np.testing.assert_array_equal(mol.gt.coords, gt)
-            np.testing.assert_array_equal(mol.ref.coords, ref)
-            assert len(mol.truth_ensemble) == len(truth)
-            for t, want in zip(mol.truth_ensemble, truth):
-                np.testing.assert_array_equal(t.coords, want)
-            assert mol.graph.aux_edges == aux
-            assert tuple(mol.mapping.assignment) == assignment
+    @staticmethod
+    def assert_equal_bytes(mol, want):
+        gt, ref, truth, aux, assignment = want
+        assert mol.gt.coords.tobytes() == gt.tobytes()
+        assert mol.ref.coords.tobytes() == ref.tobytes()
+        assert len(mol.truth_ensemble) == len(truth)
+        for t, w in zip(mol.truth_ensemble, truth):
+            assert t.coords.tobytes() == w.tobytes()
+        assert mol.graph.aux_edges == aux
+        assert tuple(mol.mapping.assignment) == assignment
 
+    @pytest.mark.parametrize("settings", [
+        {}, {"n_truth": 16}, {"sigma": 0.0, "torsion_scale": 0.5},
+        {"sigma": 0.0}, {"n_truth": 0}, {"n_truth": 1}, {"torsion_scale": 0.5},
+        {"sigma": 0.0, "torsion_scale": 0.0}])
+    def test_make_corpus_equals_scalar_builder(self, settings):
+        """Bytes equal, signed zeros included, and the generator left in the
+        same state after every molecule."""
+        for seed in range(25):
+            rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for mol in make_corpus(2, seed, **settings):
+                self.assert_equal_bytes(mol, _scalar_molecule(scalar_rng, **settings))
+                make_molecule(rng, **settings)   # the same draws, to read the state
+                assert rng.bit_generator.state == scalar_rng.bit_generator.state
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_molecule_without_rotatable_bond(self, monkeypatch, sigma):
+        """No bond to turn: the reference is the exact conformer plus its
+        noise, and every truth is the exact conformer."""
+        monkeypatch.setattr(corpus, "find_rotatable_bonds", lambda graph: [])
+        for seed in range(5):
+            rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            mol = make_molecule(rng, sigma=sigma)
+            want = _scalar_molecule(scalar_rng, sigma=sigma, rotatable=lambda graph: [])
+            self.assert_equal_bytes(mol, want)
+            assert rng.bit_generator.state == scalar_rng.bit_generator.state
+            for t in mol.truth_ensemble:
+                assert t.coords.tobytes() == mol.gt.coords.tobytes()

@@ -107,6 +107,24 @@ class TestBudgetSweep:
             budget_sweep(pool, [conf(1)], [0], delta=0.5)
 
 
+class TestAtomSelection:
+    def test_report_and_sweep_equal_the_selected_atoms_alone(self):
+        gen = [conf(k) for k in range(4)]
+        truth = [conf(k) for k in range(10, 13)]
+        keep = [0, 2, 4]
+        picked = [g[keep] for g in gen], [t[keep] for t in truth]
+        rep = ensemble_report(gen, truth, delta=0.8, atoms=keep)
+        assert rep.rmsd_matrix.tobytes() == \
+            ensemble_report(*picked, delta=0.8).rmsd_matrix.tobytes()
+        for got, want in zip(budget_sweep(gen, truth, [1, 4], 0.8, atoms=keep),
+                             budget_sweep(*picked, [1, 4], 0.8)):
+            assert got.rmsd_matrix.tobytes() == want.rmsd_matrix.tobytes()
+
+    def test_empty_selection_rejected(self):
+        with pytest.raises(ValueError, match="atom selection is empty"):
+            ensemble_report([conf(0)], [conf(1)], delta=0.5, atoms=[])
+
+
 class TestHistogramAndFormat:
     def test_histogram_counts_all_pairs(self):
         rep = ensemble_report([conf(k) for k in range(4)],

@@ -53,6 +53,11 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=field):
             RunConfig(preset="ot", **{field: value})
 
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
+    def test_sigma_must_be_finite_and_not_negative(self, sigma):
+        with pytest.raises(ValueError, match=f"^sigma must be finite and at least 0, got {sigma}$"):
+            RunConfig(sigma=sigma)
+
     def test_epochs_may_be_zero_but_not_negative(self):
         assert RunConfig(epochs=0).epochs == 0
         with pytest.raises(ValueError, match="epochs must be at least 0, got -1"):
