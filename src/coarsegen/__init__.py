@@ -19,7 +19,7 @@ from .latent import (GaussianLatent, kl_divergence, posterior_params,
 from .losses import (LossWeights, TransportPlan, aligned_mse, distance_loss,
                      elbo_loss, emd_solve, ot_loss)
 from .metrics import (EnsembleReport, budget_sweep, ensemble_report,
-                      error_histogram, rmsd)
+                      error_histogram)
 from .molio import (Atom, Bond, Conformer, MolecularGraph, ParseError,
                     build_graph, parse_sdf, parse_xyz, write_conformer)
 from .nn import ModelConfig
@@ -40,5 +40,5 @@ __all__ = [
     "find_rotatable_bonds", "generate", "generate_ensemble",
     "kabsch_align", "kl_divergence", "make_corpus", "order_beads", "ot_loss",
     "parse_sdf", "parse_xyz", "posterior_params", "prior_params",
-    "random_rotation", "resume", "rmsd", "sample", "train", "write_conformer",
+    "random_rotation", "resume", "sample", "train", "write_conformer",
 ]

@@ -47,7 +47,6 @@ class CGMapping:
 @dataclass
 class BeadGraph:
     n_beads: int
-    centroids: np.ndarray
     edges: list[tuple[int, int]] = field(default_factory=list)  # unordered, deduped
 
     def adjacency(self) -> list[list[int]]:
@@ -157,7 +156,7 @@ def build_bead_graph(graph: MolecularGraph, mapping: CGMapping,
             edges.add((min(bi, bj), max(bi, bj)))
     for i, j in pairs_within_cutoff(mapping.bead_centroids, cutoff):
         edges.add((int(i), int(j)))
-    return BeadGraph(mapping.n_beads, mapping.bead_centroids.copy(), sorted(edges))
+    return BeadGraph(mapping.n_beads, sorted(edges))
 
 
 def order_beads(mapping: CGMapping, bead_graph: BeadGraph) -> list[int]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coarsen import CGMapping, coarse_grain, find_rotatable_bonds
-from .molio import Atom, Bond, Conformer, MolecularGraph, build_graph
+from .molio import Bond, Conformer, MolecularGraph, _finish_atoms, build_graph
 from .topology import torsion_side
 
 
@@ -158,14 +158,8 @@ def make_molecule(rng: np.random.Generator, sigma: float = 0.3,
     truths are turned as one stack."""
     _check_settings(sigma, n_truth, torsion_scale)
     elements, bond_pairs, _ = _build_topology(rng)
-    heavy_deg = [0] * len(elements)
-    for i, j in bond_pairs:
-        if elements[j] != "H":
-            heavy_deg[i] += 1
-        if elements[i] != "H":
-            heavy_deg[j] += 1
-    atoms = [Atom(el, 0, heavy_deg[k], False) for k, el in enumerate(elements)]
     bonds = [Bond(i, j, "single") for i, j in bond_pairs]
+    atoms = _finish_atoms(elements, [0] * len(elements), bonds, ())
 
     gt_coords = _embed(elements, bond_pairs, rng)
     bare = MolecularGraph(atoms, bonds)

@@ -1,4 +1,9 @@
-"""Rigid-body alignment via the SVD-based Kabsch solution."""
+"""Rigid-body alignment via the SVD-based Kabsch solution.
+
+``_kabsch_rotation`` is the package's one Kabsch solver: ``kabsch_align``,
+the training losses and ``kernels.rmsd_matrix`` all take their rotation
+from it.
+"""
 
 from __future__ import annotations
 
@@ -12,7 +17,6 @@ class Alignment:
     rotation: np.ndarray       # 3 x 3, det = +1
     translation: np.ndarray    # 3-vector
     rmsd: float
-    unique: bool               # False for rank-deficient (collinear/coincident) inputs
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         return points @ self.rotation.T + self.translation
@@ -22,9 +26,9 @@ def kabsch_align(p: np.ndarray, q: np.ndarray) -> Alignment:
     """Optimal rigid motion mapping point set ``p`` onto ``q``.
 
     Returns rotation R (always a proper rotation, det = +1), translation t
-    and the minimized RMSD of ``R p + t`` against ``q``. Degenerate inputs
-    (coincident or collinear points) are flagged as non-unique; the returned
-    motion is still optimal.
+    and the minimized RMSD of ``R p + t`` against ``q``. For degenerate
+    inputs (coincident or collinear points) the motion is not unique; the
+    one returned is still optimal.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -34,22 +38,19 @@ def kabsch_align(p: np.ndarray, q: np.ndarray) -> Alignment:
     if m < 1:
         raise ValueError("need at least one point")
 
-    rot, pc, qc, s = _kabsch_rotation(p, q)
+    rot, pc, qc = _kabsch_rotation(p, q)
     pc, qc = pc[0], qc[0]
     trans = qc - rot @ pc
 
     aligned = (p - pc) @ rot.T + qc
     rmsd = float(np.sqrt(np.mean(np.sum((aligned - q) ** 2, axis=1))))
-    # two (near-)zero singular values => rotation about the remaining axis is free
-    tol = max(s[0], 1.0) * 1e-10
-    unique = np.sum(s > tol) >= 2
-    return Alignment(rot, trans, rmsd, unique)
+    return Alignment(rot, trans, rmsd)
 
 
 def _kabsch_rotation(p: np.ndarray, q: np.ndarray):
     """Kabsch rotation of ``p`` onto ``q`` for (..., m, 3) stacks, which
     broadcast against each other: (rotation, centroid of ``p``, centroid of
-    ``q``, singular values), the centroids with the point axis kept.
+    ``q``), the centroids with the point axis kept.
 
     Each slice runs the numpy operations of a single (m, 3) pair, so it is
     bit-equal to the unstacked call.
@@ -57,12 +58,12 @@ def _kabsch_rotation(p: np.ndarray, q: np.ndarray):
     pc = p.mean(axis=-2, keepdims=True)
     qc = q.mean(axis=-2, keepdims=True)
     h = np.matmul(np.swapaxes(p - pc, -1, -2), q - qc)
-    u, s, vt = np.linalg.svd(h)
+    u, _, vt = np.linalg.svd(h)
     v, ut = np.swapaxes(vt, -1, -2), np.swapaxes(u, -1, -2)
     corr = np.zeros(h.shape)
     corr[..., 0, 0] = corr[..., 1, 1] = 1.0
     corr[..., 2, 2] = np.sign(np.linalg.det(np.matmul(v, ut)))
-    return np.matmul(np.matmul(v, corr), ut), pc, qc, s
+    return np.matmul(np.matmul(v, corr), ut), pc, qc
 
 
 def aligned_rmsd(p: np.ndarray, q: np.ndarray) -> float:

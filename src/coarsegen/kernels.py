@@ -1,8 +1,12 @@
-"""Hot geometric kernels, vectorised in numpy."""
+"""Hot geometric kernels, vectorised in numpy: the cutoff pair search and
+the pairwise RMSD matrix of ensemble evaluation, whose rotations come from
+the one Kabsch solver in ``geometry``."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from .geometry import _kabsch_rotation
 
 # Largest (rows, L, m, 3) residual block ``rmsd_matrix`` holds at once, in
 # float64 elements (8 MB); rows of ``a`` are processed in blocks under it.
@@ -22,44 +26,34 @@ def pairs_within_cutoff(coords: np.ndarray, cutoff: float) -> np.ndarray:
     return np.stack([i[mask], j[mask]], axis=1).astype(np.int64)
 
 
-def _rmsd_block(ac: np.ndarray, bc: np.ndarray) -> np.ndarray:
-    """Kabsch RMSD of every pair of centred stacks (k, m, 3) x (L, m, 3).
-
-    Every entry comes from its own pair alone: one 3x3 cross-covariance,
-    one SVD of the (k, L, 3, 3) stack, a sign fix where the rotation would
-    reflect, and the aligned residual ``ac @ R - bc`` summed directly. The
-    closed form ``|p|^2 + |q|^2 - 2 sum(sigma)`` would cancel two large terms
-    for identical or rigidly moved conformers and the square root would lift
-    the rounding residue to ~1e-6 A; the residual gives 0 up to rounding.
-    """
-    m = ac.shape[1]
-    u, _, vt = np.linalg.svd(np.matmul(np.swapaxes(ac, -1, -2)[:, None], bc[None]))
-    rot = np.matmul(u, vt)
-    flip = np.linalg.det(rot) < 0.0
-    if flip.any():
-        u[flip, :, -1] *= -1.0
-        rot[flip] = np.matmul(u[flip], vt[flip])
-    r = np.matmul(ac[:, None], rot) - bc[None]
-    return np.sqrt((r * r).reshape(r.shape[0], r.shape[1], -1).sum(axis=-1) / m)
-
-
 def rmsd_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise Kabsch-minimized RMSD between two stacks of conformers.
 
-    ``a`` is (K, m, 3) and ``b`` is (L, m, 3); the result is (K, L). Each
-    entry is the RMSD of the aligned residual (see ``_rmsd_block``) and
-    depends on its own pair only, so ``rmsd_matrix(a[:k], b)`` equals the
-    first k rows of ``rmsd_matrix(a, b)`` bit for bit.
+    ``a`` is (K, m, 3) and ``b`` is (L, m, 3) with m >= 1; the result is
+    (K, L). Each pair's rotation comes from ``geometry._kabsch_rotation``,
+    and its RMSD from the aligned residual ``(p - pc) R^T - (q - qc)``
+    summed directly. The closed form ``|p|^2 + |q|^2 - 2 sum(sigma)`` would
+    cancel two large terms for identical or rigidly moved conformers and the
+    square root would lift the rounding residue to ~1e-6 A; the residual
+    gives 0 up to rounding. Each entry depends on its own pair only, so
+    ``rmsd_matrix(a[:k], b)`` equals the first k rows of
+    ``rmsd_matrix(a, b)`` bit for bit.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
-    k, m = a.shape[0], a.shape[1]
-    out = np.empty((k, b.shape[0]))
+    if (a.ndim != 3 or b.ndim != 3 or a.shape[1:] != b.shape[1:]
+            or a.shape[2] != 3 or a.shape[1] < 1):
+        raise ValueError("rmsd_matrix needs two (., m, 3) stacks with the same "
+                         f"m >= 1, got {a.shape} and {b.shape}")
+    k, l, m = a.shape[0], b.shape[0], a.shape[1]
+    out = np.empty((k, l))
     if out.size == 0:
         return out
-    ac = a - a.sum(axis=1, keepdims=True) / m
-    bc = b - b.sum(axis=1, keepdims=True) / m
-    rows = max(1, _BLOCK_ELEMENTS // max(b.shape[0] * m * 3, 1))
+    q = b[None]
+    rows = max(1, _BLOCK_ELEMENTS // (l * m * 3))
     for start in range(0, k, rows):
-        out[start:start + rows] = _rmsd_block(ac[start:start + rows], bc)
+        p = a[start:start + rows, None]
+        rot, pc, qc = _kabsch_rotation(p, q)
+        r = np.matmul(p - pc, np.swapaxes(rot, -1, -2)) - (q - qc)
+        out[start:start + rows] = np.sqrt((r * r).reshape(r.shape[0], l, -1).sum(axis=-1) / m)
     return out

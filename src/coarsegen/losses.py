@@ -181,7 +181,7 @@ def ot_loss(generated: Tensor, truth, graph: MolecularGraph) -> tuple[Tensor, Tr
                                  dtype=np.float64) for t in truth])
     n = x.shape[1]
     # alignment term: truth l optimally aligned onto generated k, (K, L, n, 3)
-    rot, pc, qc, _ = _kabsch_rotation(truth[None], x[:, None])
+    rot, pc, qc = _kabsch_rotation(truth[None], x[:, None])
     trans = qc - np.swapaxes(np.matmul(rot, np.swapaxes(pc, -1, -2)), -1, -2)
     diff = x[:, None] - (np.matmul(truth, np.swapaxes(rot, -1, -2)) + trans)
     cost = (diff * diff).sum(axis=-1).sum(axis=-1) / float(n)

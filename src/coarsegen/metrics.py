@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .geometry import aligned_rmsd
 
 
 @dataclass
@@ -25,19 +24,6 @@ class EnsembleReport:
     n_generated: int
     n_truth: int
     delta: float
-
-
-def rmsd(c1: np.ndarray, c2: np.ndarray, heavy_only: bool = False,
-         elements: list[str] | None = None) -> float:
-    """Kabsch-minimized RMSD; optionally restricted to non-hydrogen atoms."""
-    c1 = np.asarray(c1, dtype=np.float64)
-    c2 = np.asarray(c2, dtype=np.float64)
-    if heavy_only:
-        if elements is None:
-            raise ValueError("heavy_only requires the element list")
-        keep = [k for k, el in enumerate(elements) if el != "H"]
-        c1, c2 = c1[keep], c2[keep]
-    return aligned_rmsd(c1, c2)
 
 
 def build_rmsd_matrix(generated: list[np.ndarray], truth: list[np.ndarray],

@@ -48,16 +48,12 @@ class TestKabsch:
             np.testing.assert_allclose(a.rotation @ a.rotation.T, np.eye(3),
                                        atol=1e-10)
 
-    def test_collinear_flagged_non_unique(self):
+    def test_collinear_still_optimal(self):
+        """Collinear points leave the rotation about their line free; the
+        motion returned still maps one set onto the other."""
         p = np.outer(np.arange(4.0), np.array([1.0, 0, 0]))
         q = np.outer(np.arange(4.0), np.array([0, 1.0, 0]))
-        a = kabsch_align(p, q)
-        assert not a.unique
-        assert a.rmsd < 1e-10       # still optimal
-
-    def test_general_position_flagged_unique(self):
-        assert kabsch_align(RNG.standard_normal((6, 3)),
-                            RNG.standard_normal((6, 3))).unique
+        assert kabsch_align(p, q).rmsd < 1e-10
 
     def test_shape_errors(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,9 @@
 """Geometric kernels against brute-force and per-pair reference versions."""
 
+import re
+
 import numpy as np
+import pytest
 
 from coarsegen import kernels
 from coarsegen.geometry import aligned_rmsd, random_rotation
@@ -48,14 +51,23 @@ class TestRmsdMatrix:
 
     def test_equals_per_pair_loop(self):
         """The batched kernel does the per-pair arithmetic, so it agrees bit
-        for bit; mirror images exercise the reflection fix."""
+        for bit; mirror images exercise the reflection fix, and rigidly
+        moved copies, collinear stacks and coincident points the degenerate
+        SVDs where two solvers could part."""
         rng = np.random.default_rng(self.SEED)
-        for m in (3, 9, 33):
+        for m in (1, 2, 3, 9, 33):
             a = 10.0 * rng.standard_normal((7, m, 3))
+            moved = np.stack([a[k] @ random_rotation(rng).T + 10.0 * rng.standard_normal(3)
+                              for k in range(3)])
             b = np.concatenate([10.0 * rng.standard_normal((4, m, 3)),
-                                a[:3] * np.array([1.0, 1.0, -1.0])])
+                                a[:3] * np.array([1.0, 1.0, -1.0]), moved])
             np.testing.assert_array_equal(kernels.rmsd_matrix(a, b),
                                           kabsch_rmsd_loop(a, b))
+            line = rng.standard_normal((5, m, 1)) * rng.standard_normal(3)
+            point = np.repeat(rng.standard_normal((4, 1, 3)), m, axis=1)
+            degenerate = np.concatenate([line, line + rng.standard_normal(3), point])
+            np.testing.assert_array_equal(kernels.rmsd_matrix(degenerate, degenerate),
+                                          kabsch_rmsd_loop(degenerate, degenerate))
 
     def test_prefix_rows_bit_identical_across_blocks(self, monkeypatch):
         """Rows of ``a`` are scored in blocks; a prefix of ``a`` gives the same
@@ -73,6 +85,16 @@ class TestRmsdMatrix:
     def test_empty_stacks(self):
         assert kernels.rmsd_matrix(np.zeros((0, 4, 3)), np.zeros((2, 4, 3))).shape == (0, 2)
         assert kernels.rmsd_matrix(np.zeros((3, 4, 3)), np.zeros((0, 4, 3))).shape == (3, 0)
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((3, 4, 2), (2, 4, 2)),   # planar points
+        ((3, 0, 3), (2, 0, 3)),   # no atoms: NaN, which coverage read as 0 %
+        ((3, 4, 3), (2, 5, 3)),   # unequal atom counts
+        ((4, 3), (4, 3)),         # single conformers, not stacks
+    ])
+    def test_rejects_malformed_stacks(self, a_shape, b_shape):
+        with pytest.raises(ValueError, match=re.escape(f"{a_shape} and {b_shape}")):
+            kernels.rmsd_matrix(np.ones(a_shape), np.ones(b_shape))
 
     def test_matches_alignment_oracle(self):
         rng = np.random.default_rng(self.SEED)

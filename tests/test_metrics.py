@@ -6,31 +6,13 @@ import pytest
 
 from coarsegen.geometry import aligned_rmsd, random_rotation
 from coarsegen.metrics import (budget_sweep, ensemble_report, error_histogram,
-                               format_report, rmsd)
+                               format_report)
 
 RNG = np.random.default_rng(31)
 
 
 def conf(seed):
     return np.random.default_rng(seed).standard_normal((5, 3))
-
-
-class TestRmsd:
-    def test_matches_alignment_oracle(self):
-        a, b = conf(0), conf(1)
-        np.testing.assert_allclose(rmsd(a, b), aligned_rmsd(a, b), atol=1e-12)
-
-    def test_heavy_only_drops_hydrogens(self):
-        a, b = conf(0), conf(1)
-        elements = ["C", "H", "C", "H", "O"]
-        keep = [0, 2, 4]
-        np.testing.assert_allclose(
-            rmsd(a, b, heavy_only=True, elements=elements),
-            aligned_rmsd(a[keep], b[keep]), atol=1e-12)
-
-    def test_heavy_only_requires_elements(self):
-        with pytest.raises(ValueError):
-            rmsd(conf(0), conf(1), heavy_only=True)
 
 
 class TestHandCases:
