@@ -33,6 +33,10 @@ Each line digests the raw float64 bytes of:
 - ``ot-k5``: as ``ot`` with K = 5, every truth conformer;
 - ``generate`` / ``generate-ot``: 40 conformers drawn with
   ``decoder.generate`` in the ``ar`` and in the ``ot`` decode mode;
+- ``generate-ensemble``: the ``generate`` line's 40 conformers (same store
+  seed, generator and names), drawn through one
+  ``decoder.generate_ensemble(..., num=10)`` per molecule; its digest must
+  equal the ``generate`` line's;
 - ``generate-repeat``: four successive ``decoder.generate`` calls for each of
   4 molecules, with an in-place write to an encoder parameter
   (``enc.main.emb.w``) before the third and to a prior parameter
@@ -130,7 +134,7 @@ def loss_and_grads(preset: str, mols, ot_samples: int = 3) -> tuple[str, dict]:
     return hashed(named)
 
 
-def draws(mols, mode: str) -> tuple[str, dict]:
+def draws(mols, mode: str, ensemble: bool = False) -> tuple[str, dict]:
     cfg = train.RunConfig().model_config()
     store = ParameterStore(seed=5)
     rng = np.random.default_rng(6)
@@ -138,10 +142,10 @@ def draws(mols, mode: str) -> tuple[str, dict]:
     for i, mol in enumerate(mols[:4]):
         order = coarsen.order_beads(
             mol.mapping, coarsen.build_bead_graph(mol.graph, mol.mapping, cfg.aux_cutoff))
-        for j in range(10):
-            named[f"mol{i}/draw{j}"] = decoder.generate(
-                store, cfg, mol.graph, mol.mapping, mol.ref.coords, order, rng,
-                mode=mode).coords
+        args = (store, cfg, mol.graph, mol.mapping, mol.ref.coords, order, rng)
+        confs = (decoder.generate_ensemble(*args, 10, mode=mode) if ensemble
+                 else [decoder.generate(*args, mode=mode) for _ in range(10)])
+        named.update((f"mol{i}/draw{j}", c.coords) for j, c in enumerate(confs))
     return hashed(named)
 
 
@@ -253,6 +257,7 @@ def main() -> None:
         "elbo-annealed": lambda: loss_and_grads("elbo-annealed", mols),
         "generate": lambda: draws(mols, "ar"),
         "generate-ot": lambda: draws(mols, "ot"),
+        "generate-ensemble": lambda: draws(mols, "ar", ensemble=True),
         "generate-repeat": lambda: repeat_draws(mols),
         "rmsd_matrix": rmsd_matrices,
         "emd": emd_plans,

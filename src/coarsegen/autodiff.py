@@ -7,14 +7,14 @@ gradients into every reachable leaf with ``requires_grad=True``.
 The primitive ops are affine arithmetic, matmul (with numpy broadcasting),
 reductions, exp/sqrt, sigmoid, gathers (``t[idx]`` is a gather along axis
 0), concatenation and segment sums. Gathers and segment sums work along any
-axis, and concatenation repeats a lower-rank input over the path axis, so
-they serve path-stacked arrays (see :mod:`coarsegen.nn`). Blocks the model
-calls many times per step (the MLP, affine, vector-neuron, RBF and
-attention layers in :mod:`coarsegen.nn`, and channel selection in
-:mod:`coarsegen.decoder`) are fused: each records one node whose
-hand-written backward replaces a chain of primitive nodes, and whose
-forward runs the same numpy operations in the same order as that chain, so
-forward values are unchanged.
+axis, and concatenation repeats an input whose leading axes are missing or
+of size 1, so they serve path-stacked arrays (see :mod:`coarsegen.nn`).
+Blocks the model calls many times per step (the MLP, affine,
+vector-neuron, RBF and attention layers in :mod:`coarsegen.nn`, and
+channel selection in :mod:`coarsegen.decoder`) are fused: each records one
+node whose hand-written backward replaces a chain of primitive nodes, and
+whose forward runs the same numpy operations in the same order as that
+chain, so forward values are unchanged.
 
 Inside :func:`no_grad` no op records anything: outputs keep no parents and
 no backward function, so forward-only work (sampling, equivariance checks)
@@ -231,12 +231,11 @@ def _scatter_rows(values: np.ndarray, ids: np.ndarray, n: int,
     must lie in ``[0, n)``.
     """
     lead, trail = values.shape[:axis], values.shape[axis + 1:]
-    width = math.prod(trail)
-    flat = ids[:, None] * width + np.arange(width)
-    if lead:
-        flat = np.arange(math.prod(lead))[:, None, None] * (n * width) + flat
+    width, rows = math.prod(trail), math.prod(lead)
+    slots = np.arange(rows)[:, None] * n + ids
+    flat = slots[..., None] * width + np.arange(width)
     out = np.bincount(flat.reshape(-1), weights=values.reshape(-1),
-                      minlength=math.prod(lead) * n * width)
+                      minlength=rows * n * width)
     return out.reshape(lead + (n,) + trail)
 
 
@@ -256,18 +255,19 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # -- free functions ----------------------------------------------------------
 
 def concat(tensors, axis=0) -> Tensor:
-    """Join ``tensors`` along ``axis`` of the result. An input with fewer
-    axes than the others is repeated over the leading axes it lacks, so one
-    path joins each row of a path stack; its gradient is summed over them."""
+    """Join ``tensors`` along ``axis``. An input whose axes before ``axis``
+    are missing or of size 1 is repeated over them, so one path joins each
+    row of a path stack; its gradient is summed over them."""
     tensors = [as_tensor(t) for t in tensors]
     arrays = [t.data for t in tensors]
     try:
         out_data = np.concatenate(arrays, axis=axis)
     except ValueError:
-        # the ranks differ (or the shapes do not fit, which raises again)
-        lead = max(arrays, key=np.ndim).shape
-        arrays = [a if a.ndim == len(lead) else
-                  np.broadcast_to(a, lead[:len(lead) - a.ndim] + a.shape) for a in arrays]
+        # the leading axes differ (or the shapes do not fit, which raises again)
+        ndim = max(a.ndim for a in arrays)
+        heads = [a.shape[:max(axis % ndim - ndim + a.ndim, 0)] for a in arrays]
+        lead = np.broadcast_shapes(*heads)
+        arrays = [np.broadcast_to(a, lead + a.shape[len(h):]) for a, h in zip(arrays, heads)]
         out_data = np.concatenate(arrays, axis=axis)
 
     def bw(g):

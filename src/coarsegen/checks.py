@@ -70,7 +70,7 @@ def equivariance_check(seed: int = 0, n_molecules: int = 20,
             graph, mapping = mol.graph, mol.mapping
             ref = mol.ref.coords
             order = topology.bead_order(graph, mapping, cfg.aux_cutoff)
-            z_base = encode_reference(store, cfg, graph, mapping, ref).data
+            z_base = encode_reference(store, cfg, graph, mapping, ref).data[0]
             noise = rng.standard_normal(z_base.shape)
             base = generate(store, cfg, graph, mapping, ref, order, rng,
                             mode="ar", noise=noise).coords
@@ -78,7 +78,7 @@ def equivariance_check(seed: int = 0, n_molecules: int = 20,
                 rot = random_rotation(rng)
                 shift = rng.uniform(-10.0, 10.0, size=3)
                 moved = ref @ rot.T + shift
-                z_moved = encode_reference(store, cfg, graph, mapping, moved).data
+                z_moved = encode_reference(store, cfg, graph, mapping, moved).data[0]
                 lat_max = max(lat_max, _rel_err(z_moved, z_base @ rot.T))
                 out = generate(store, cfg, graph, mapping, moved, order, rng,
                                mode="ar", noise=noise @ rot.T).coords

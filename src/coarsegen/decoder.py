@@ -7,8 +7,8 @@ re-anchors coordinates at the reference, so zeroed update networks return
 the reference exactly. Coordinates and centroids enter invariant feature
 mixing through vector-neuron norms, keeping the whole decoder equivariant.
 
-A single-block decode also takes a path-stacked latent, (K, beads, F, 3),
-and decodes the K draws in one call (see :mod:`coarsegen.nn`).
+A decode takes a stack of N >= 1 draws, (N, beads, F, 3), and runs every
+block step for all of them at once (see :mod:`coarsegen.nn`).
 
 Only later blocks read a block's features, so the last layer of the last
 block (of the one block in a single pass) skips its feature update, but
@@ -50,7 +50,7 @@ def channel_selection(z: Tensor, mapping: CGMapping,
     Queries are the reference coordinates of each bead's member atoms; keys
     and values are the bead's latent channels (embedding dimension 3, scale
     1/sqrt(3)). Output rows land at the atoms' global indices. A
-    path-stacked ``z`` gives one (atoms, 3) slice per path.
+    (N, beads, F, 3) ``z`` gives one (atoms, 3) slice per draw.
 
     One tape node for every bead and path. The forward runs, bead by bead,
     the numpy operations of a matmul, scale, max-shifted softmax and matmul
@@ -98,15 +98,15 @@ def _refine(store: ParameterStore, cfg: ModelConfig, x0: Tensor, x_ref: Tensor,
     creates that update's parameters, in the same order."""
     D = cfg.hidden_dim
     src, dst, inv_deg = edges
-    lead, s = x0.shape[:-2], x0.shape[-2]
+    paths, s = x0.shape[:2]
     x, h = x0, h0
     for layer in range(cfg.layers):
         pfx = f"dec.l{layer}"
         if prev_coords is not None:
-            mu = prev_coords.mean(axis=0, keepdims=True)
+            mu = prev_coords.mean(axis=-2, keepdims=True)
         else:
             mu = Tensor(np.zeros((1, 3)))
-        dx = (x - mu).reshape(lead + (s, 1, 3))
+        dx = (x - mu).reshape(paths, s, 1, 3)
         dx_inv = vn_norms(vn_mlp(store, f"{pfx}.vn_mix", dx, D, D))
         d2mu = ((x - mu) * (x - mu)).sum(axis=-1, keepdims=True)
         h_mix = mlp(store, f"{pfx}.phi_m", concat([h, dx_inv, d2mu], axis=-1), D, D)
@@ -126,7 +126,7 @@ def _refine(store: ParameterStore, cfg: ModelConfig, x0: Tensor, x_ref: Tensor,
             if prev_h is not None:
                 u = attention(store, f"{pfx}.att", h_mix, prev_h)
             else:
-                u = Tensor(np.zeros(lead + (s, D)))
+                u = Tensor(np.zeros((paths, s, D)))
         elif prev_h is not None:
             attention_params(store, f"{pfx}.att", D, D)
 
@@ -145,11 +145,10 @@ def _refine(store: ParameterStore, cfg: ModelConfig, x0: Tensor, x_ref: Tensor,
 
 
 def _decoder_atom_features(store: ParameterStore, cfg: ModelConfig,
-                           graph: MolecularGraph, lead: tuple) -> Tensor:
+                           graph: MolecularGraph, paths: int) -> Tensor:
     feats = topology.atom_features(graph)
-    if lead:
-        feats = np.broadcast_to(feats, lead + feats.shape)
-    return affine(store, "dec.emb", Tensor(feats), cfg.hidden_dim)
+    return affine(store, "dec.emb", Tensor(np.broadcast_to(feats, (paths,) + feats.shape)),
+                  cfg.hidden_dim)
 
 
 def decode_blocks(mapping: CGMapping, mode: str,
@@ -174,26 +173,23 @@ def decode(store: ParameterStore, cfg: ModelConfig, z: Tensor,
            mapping: CGMapping, ref_coords: np.ndarray, graph: MolecularGraph,
            blocks: Sequence[Sequence[int]],
            teacher_coords: np.ndarray | None = None) -> Tensor:
-    """Backmap ``z`` and refine the atoms block by block.
+    """Backmap ``z``, (N, beads, F, 3), and refine the atoms block by block
+    into (N, atoms, 3).
 
     ``blocks`` must hold every atom exactly once (see :func:`decode_blocks`).
     Each block attends to the atoms of the blocks before it: to their
-    decoded coordinates, or to ``teacher_coords`` when given. A path-stacked
-    ``z``, (K, beads, F, 3), decodes K draws at once into (K, atoms, 3); it
-    takes the one block of every atom in atom order.
+    decoded coordinates, or to ``teacher_coords`` when given.
     """
+    if z.ndim != 4:
+        raise ValueError(f"decode takes an (N, beads, F, 3) latent, got shape {z.shape}")
     atoms = [a for block in blocks for a in block]
     if sorted(atoms) != list(range(graph.n_atoms)):
         raise ValueError(f"blocks must hold each of the {graph.n_atoms} atoms "
                          f"exactly once, got {atoms}")
-    whole = len(blocks) == 1 and atoms == list(range(graph.n_atoms))
-    lead = z.shape[:-3]
-    if lead and not whole:
-        raise ValueError("a path-stacked latent decodes in one block of every atom")
     x_cs = channel_selection(z, mapping, ref_coords)
-    h0_all = _decoder_atom_features(store, cfg, graph, lead)
+    h0_all = _decoder_atom_features(store, cfg, graph, len(z.data))
     ref_coords = np.asarray(ref_coords)
-    if whole:
+    if len(blocks) == 1 and atoms == list(range(graph.n_atoms)):
         # every atom in atom order: nothing to gather or reorder
         edges = topology.local_edges(graph, atoms)
         return _refine(store, cfg, x_cs, Tensor(ref_coords), h0_all, edges,
@@ -208,16 +204,16 @@ def decode(store: ParameterStore, cfg: ModelConfig, z: Tensor,
             if teacher_coords is not None:
                 prev_coords = Tensor(np.asarray(teacher_coords)[atoms[:done]])
             else:
-                prev_coords = concat(coord_blocks, axis=0)
-            prev_h = concat(h_blocks, axis=0)
-        coords, h = _refine(store, cfg, x_cs[idx], Tensor(ref_coords[idx]),
-                            h0_all[idx], topology.local_edges(graph, block),
+                prev_coords = concat(coord_blocks, axis=-2)
+            prev_h = concat(h_blocks, axis=-2)
+        coords, h = _refine(store, cfg, take(x_cs, idx, -2), Tensor(ref_coords[idx]),
+                            take(h0_all, idx, -2), topology.local_edges(graph, block),
                             prev_coords, prev_h, b < len(blocks) - 1)
         coord_blocks.append(coords)
         h_blocks.append(h)
         done += len(block)
     inverse = np.argsort(np.asarray(atoms, dtype=np.intp))
-    return concat(coord_blocks, axis=0)[inverse]
+    return take(concat(coord_blocks, axis=-2), inverse, -2)
 
 
 # The last reference prior of each store and what it was computed from (see
@@ -267,15 +263,15 @@ def generate_ensemble(store: ParameterStore, cfg: ModelConfig, graph: MolecularG
     """Sample ``num`` conformers from the learned prior conditioned on the
     reference.
 
-    The reference is encoded and the prior computed once; the draws use
-    ``rng`` in turn, so the result equals ``num`` successive :func:`generate`
-    calls. The store keeps that prior for the next call: it is reused only
-    while the graph and mapping objects, the config, the centred reference's
-    bits and every parameter's ``Tensor`` and bits are the same, so reuse
-    never changes a bit. ``num`` below 1 raises ``ValueError``. ``noise``
-    (num x beads x channels x 3) overrides the drawn eps; another shape
-    raises ``ValueError``. The draws record no tape (see
-    :func:`~coarsegen.autodiff.no_grad`).
+    The reference is encoded and the prior computed once; the draws take
+    their eps from ``rng`` in turn and decode in one call, so the result
+    equals ``num`` successive :func:`generate` calls. The store keeps that
+    prior for the next call: it is reused only while the graph and mapping
+    objects, the config, the centred reference's bits and every parameter's
+    ``Tensor`` and bits are the same, so reuse never changes a bit. ``num``
+    below 1 raises ``ValueError``. ``noise`` (num x beads x channels x 3)
+    overrides the drawn eps; another shape raises ``ValueError``. The draws
+    record no tape (see :func:`~coarsegen.autodiff.no_grad`).
     """
     if num < 1:
         raise ValueError(f"num must be at least 1, got {num}")
@@ -285,13 +281,11 @@ def generate_ensemble(store: ParameterStore, cfg: ModelConfig, graph: MolecularG
         raise ValueError(f"noise must have shape {want}, got {np.shape(noise)}")
     ref_c, centroid = center(np.asarray(ref_coords))
     prior = _reference_prior(store, cfg, graph, mapping, ref_c)
-    out = []
+    if noise is None:
+        noise = np.concatenate([rng.standard_normal(prior.mu.shape) for _ in range(num)])
     with no_grad():
-        for i in range(num):
-            z_sample = sample(prior, rng, noise=None if noise is None else noise[i])
-            coords = decode(store, cfg, z_sample, mapping, ref_c, graph, blocks)
-            out.append(Conformer(coords.data + centroid))
-    return out
+        coords = decode(store, cfg, sample(prior, rng, noise), mapping, ref_c, graph, blocks)
+    return [Conformer(c + centroid) for c in coords.data]
 
 
 def generate(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,

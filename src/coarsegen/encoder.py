@@ -10,10 +10,11 @@ layer function runs all of them in one call with the same weights (see
 each ground-truth row, so the reference latent never depends on
 ground-truth coordinates and the ground-truth paths never see each other.
 The output per path is an equivariant latent tensor of shape
-(beads, channels, 3), so the last layer skips the bead-feature update that
-nothing reads; it still creates that update's parameters, in the same
-order, so a fresh store draws the same values. Below, P = K + 1 is the
-number of paths.
+(beads, channels, 3); the reference row is read alone (as the attention
+key and the returned latent) as a one-path stack. The last layer skips the
+bead-feature update that nothing reads; it still creates that update's
+parameters, in the same order, so a fresh store draws the same values.
+Below, P = K + 1 is the number of paths.
 """
 
 from __future__ import annotations
@@ -72,8 +73,7 @@ def _reference_attention(store: ParameterStore, prefix: str, h: Tensor) -> Tenso
     zeros = Tensor(np.zeros((1,) + h.shape[1:]))
     if not k:
         return zeros
-    ref = take(h, np.array([k]), 0).reshape(h.shape[1:])
-    u = attention(store, prefix, take(h, np.arange(k), 0), ref)
+    u = attention(store, prefix, take(h, np.arange(k), 0), take(h, np.array([k]), 0))
     return concat([u, zeros], axis=0)
 
 
@@ -221,9 +221,9 @@ def encode(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
     """Encode K >= 0 ground-truth conformers beside one reference conformer.
 
     Returns the K ground-truth latents (Z) as one (K, beads, F, 3) path
-    stack and the reference latent (Z~), (beads, F, 3). The inputs are
-    centered here and run as one (K + 1)-path stack, the reference last;
-    each layer runs one fg, one pool and one cg update.
+    stack and the reference latent (Z~) as a (1, beads, F, 3) stack. The
+    inputs are centered here and run as one (K + 1)-path stack, the
+    reference last; each layer runs one fg, one pool and one cg update.
     """
     coords = np.stack([center(c)[0] for c in [*gt_list, ref_coords]])
     edges = directed_edges(graph)
@@ -236,8 +236,7 @@ def encode(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,
         cg = pool_layer(store, cfg, layer, fg, cg, mapping)
         cg = cg_layer(store, cfg, layer, cg, bead_edges)
     k = len(gt_list)
-    z_ref = take(cg.v, np.array([k]), 0).reshape(cg.v.shape[1:])
-    return take(cg.v, np.arange(k), 0), z_ref
+    return take(cg.v, np.arange(k), 0), take(cg.v, np.array([k]), 0)
 
 
 def encode_reference(store: ParameterStore, cfg: ModelConfig, graph: MolecularGraph,

@@ -6,8 +6,9 @@ shared across the x/y/z axes so that sampling commutes with rotation.
 
 The posterior, the draw and the KL run all K ground-truth paths of a
 molecule at once, on a (K, beads, F, 3) path stack; the learned prior reads
-the one reference latent and is broadcast over the paths. Each path's slice
-equals its own single-path call bit for bit (see :mod:`coarsegen.nn`).
+the one-path reference stack and is broadcast over the paths (or draws).
+Each path's slice equals its own one-path call bit for bit (see
+:mod:`coarsegen.nn`).
 """
 
 from __future__ import annotations
@@ -26,17 +27,17 @@ LOGVAR_BOUND = 10.0
 
 @dataclass
 class GaussianLatent:
-    mu: Tensor        # [K x] N x F x 3, equivariant
-    log_var: Tensor   # [K x] N x F, invariant, clamped
+    mu: Tensor        # K x N x F x 3, equivariant
+    log_var: Tensor   # K x N x F, invariant, clamped
 
 
 def posterior_params(store: ParameterStore, cfg: ModelConfig,
                      z_gt: Tensor, z_ref: Tensor) -> GaussianLatent:
     """Posterior conditioned on both paths (ground truth first, reference
-    second). ``z_gt`` may be a (K, N, F, 3) path stack; the one reference
-    latent ``z_ref`` joins each of its paths."""
+    second). ``z_gt`` is a (K, N, F, 3) path stack; the one-path reference
+    stack ``z_ref`` joins each of its paths."""
     F = cfg.latent_channels
-    both = concat([z_gt, z_ref], axis=-2)              # [K x] N x 2F x 3
+    both = concat([z_gt, z_ref], axis=-2)              # K x N x 2F x 3
     mu = vn_mlp(store, "lat.post.vn", both, F, F)
     norms = concat([vn_norms(z_gt), vn_norms(z_ref)], axis=-1)
     log_var = mlp(store, "lat.post.lv", norms, cfg.hidden_dim, F)
@@ -45,7 +46,7 @@ def posterior_params(store: ParameterStore, cfg: ModelConfig,
 
 def prior_params(store: ParameterStore, cfg: ModelConfig,
                  z_ref: Tensor) -> GaussianLatent:
-    """Learned prior conditioned on the reference path only."""
+    """Learned prior conditioned on the one-path reference stack only."""
     F = cfg.latent_channels
     mu = vn_mlp(store, "lat.prior.vn", z_ref, F, F)
     log_var = mlp(store, "lat.prior.lv", vn_norms(z_ref), cfg.hidden_dim, F)
@@ -54,15 +55,15 @@ def prior_params(store: ParameterStore, cfg: ModelConfig,
 
 def sample(g: GaussianLatent, rng: np.random.Generator,
            noise: np.ndarray | None = None) -> Tensor:
-    """Reparameterized draw mu + eps * sigma, of one path or of a path stack.
+    """Reparameterized draw mu + eps * sigma, one per path of the stack.
 
-    ``noise`` overrides the drawn eps (used by equivariance checks, which
-    must co-rotate the noise with the inputs); it must have the shape of
-    the mean, or ``ValueError`` names both shapes.
+    ``noise`` overrides the drawn eps (used by sampling and by equivariance
+    checks). It must have the mean's shape, but a one-path mean takes any
+    number of noise paths, one draw each; else ``ValueError`` names both.
     """
     if noise is None:
         noise = rng.standard_normal(g.mu.shape)
-    elif np.shape(noise) != g.mu.shape:
+    elif not (np.shape(noise)[1:] == g.mu.shape[1:] and g.mu.shape[0] in (1, len(noise))):
         raise ValueError(f"noise must have shape {g.mu.shape}, got {np.shape(noise)}")
     sigma = (g.log_var * 0.5).exp()
     return g.mu + Tensor(noise) * sigma.reshape(sigma.shape + (1,))
@@ -74,24 +75,23 @@ def kl_divergence(post: GaussianLatent, prior: GaussianLatent) -> Tensor:
     Each of the 3 axes shares the per-(bead, channel) variance; per channel
     the contribution is 3(log s_p - log s_q)/2 + (3 s_q^2 + |dmu|^2)/(2 s_p^2) - 3/2.
 
-    ``post`` may be a (K, N, F, 3) path stack. The prior holds one path, of
-    the posterior's per-path shape with or without a leading axis of 1,
-    and is broadcast over the paths; another prior shape raises
+    ``post`` is a (K, N, F, 3) path stack. The prior is a one-path stack,
+    (1, N, F, 3), broadcast over the paths; another prior shape raises
     ``ValueError`` naming both. One tape node. Each path's term is the
     single-path call's sum, and the terms are added left to right in path
     order, as a chain of per-path KL nodes adds them (a numpy sum of the K
     terms folds them pairwise from K = 8 on).
     """
-    per_path = post.mu.shape[-3:]
-    if prior.mu.shape not in (per_path, (1,) + per_path):
+    per_path = post.mu.shape[1:]
+    if post.mu.ndim != 4 or prior.mu.shape != (1,) + per_path:
         raise ValueError(f"prior mean of shape {prior.mu.shape} does not match "
                          f"the posterior mean of shape {post.mu.shape}")
     lq, lp = post.log_var.data, prior.log_var.data
     var_q, var_p = np.exp(lq), np.exp(lp)
     dmu = post.mu.data - prior.mu.data
-    dmu2 = (dmu * dmu).sum(axis=-1)                    # [K x] N x F
+    dmu2 = (dmu * dmu).sum(axis=-1)                    # K x N x F
     per_channel = 1.5 * (lp - lq) + (3.0 * var_q + dmu2) / (2.0 * var_p) - 1.5
-    terms = [term.sum() for term in per_channel.reshape((-1,) + per_path[:2])]
+    terms = [term.sum() for term in per_channel]
     total = terms[0]
     for term in terms[1:]:
         total = total + term

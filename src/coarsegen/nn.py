@@ -15,14 +15,15 @@ operations, in the order and on operands of the memory layout, of the
 primitive-op chain it replaces, so its values are unchanged. ``vn_mlp`` is
 composed; ``attention`` is a query ``affine`` and two fused nodes.
 
-Path stacking: an input with one leading axis more than the layer's own
-rank (2 for ``mlp``, ``affine`` and attention queries, 3 for the
-vector-neuron layers) holds K conformer paths, which one call runs at once.
-Each slice of the output equals the single-path call bit for bit. The
-backward returns one gradient per path for each parameter, summed over
-that path's rows only, and the node lists the parameter once per path among
-its parents, so :func:`~coarsegen.autodiff.backward` adds them to ``.grad``
-in path order, the fold that K single-path calls give.
+One shape convention: every layer input is a stack of K >= 1 conformer
+paths, one leading axis more than the layer's own rank (2 for ``mlp``,
+``affine`` and attention, 3 for the vector-neuron layers); another rank
+raises ``ValueError`` naming the shape. Each slice of the output equals the
+one-path call bit for bit. The backward returns one gradient per path for
+each parameter, summed over that path's rows only, and the node lists the
+parameter once per path among its parents, so
+:func:`~coarsegen.autodiff.backward` adds them to ``.grad`` in path order,
+the fold that K one-path calls give.
 """
 
 from __future__ import annotations
@@ -63,17 +64,17 @@ class ModelConfig:
             raise ValueError(f"aux_cutoff must be finite and at least 0, got {self.aux_cutoff}")
 
 
-def _paths(x: np.ndarray, rank: int) -> int:
-    """K for an input stacked over K paths (``rank`` + 1 axes), else 0."""
-    return x.shape[0] if x.ndim > rank else 0
+def _path_count(x: np.ndarray, rank: int) -> int:
+    """K of an input stacked over K paths, ``rank`` + 1 axes."""
+    if x.ndim != rank + 1:
+        raise ValueError(f"expected a path stack of {rank + 1} axes, got shape {x.shape}")
+    return x.shape[0]
 
 
-def _in_path_order(paths: int, *grads) -> tuple:
-    """Gradients of several parameters in the order of the parents
-    ``params * max(paths, 1)``: each parameter's path-0 gradient, then each
-    one's path-1 gradient, and so on. Unstacked (``paths`` 0), one each."""
-    if not paths:
-        return grads
+def _in_path_order(*grads) -> tuple:
+    """Gradients of several parameters, each stacked over the paths, in the
+    order of the parents ``params * paths``: each parameter's path-0
+    gradient, then each one's path-1 gradient, and so on."""
     return tuple(g for path in zip(*grads) for g in path)
 
 
@@ -101,8 +102,8 @@ def mlp_params(store: ParameterStore, prefix: str, d_in: int, d_hidden: int,
 def mlp(store: ParameterStore, prefix: str, x: Tensor,
         d_hidden: int, d_out: int) -> Tensor:
     """Two affine layers with a SiLU between them, as one tape node."""
+    paths = _path_count(x.data, 2)
     w0, b0, w1, b1 = mlp_params(store, prefix, x.shape[-1], d_hidden, d_out)
-    paths = _paths(x.data, 2)
     pre = np.matmul(x.data, w0.data)
     pre += b0.data
     sig = _sigmoid(pre)
@@ -115,10 +116,10 @@ def mlp(store: ParameterStore, prefix: str, x: Tensor,
         g_pre = np.matmul(g, w1.data.T) * (sig * (1.0 + pre * (1.0 - sig)))
         g_x = np.matmul(g_pre, w0.data.T) if x.requires_grad else None
         return (g_x,) + _in_path_order(
-            paths, _weight_grad(x.data, g_pre), _bias_grad(g_pre),
+            _weight_grad(x.data, g_pre), _bias_grad(g_pre),
             _weight_grad(act, g), _bias_grad(g))
 
-    return Tensor(out_data, _parents=(x,) + (w0, b0, w1, b1) * max(paths, 1),
+    return Tensor(out_data, _parents=(x,) + (w0, b0, w1, b1) * paths,
                   _backward_fn=bw)
 
 
@@ -135,15 +136,15 @@ def affine(store: ParameterStore, prefix: str, x: Tensor, d_out: int) -> Tensor:
 
 
 def _affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    paths = _paths(x.data, 2)
+    paths = _path_count(x.data, 2)
     out_data = np.matmul(x.data, w.data)
     out_data += b.data
 
     def bw(g):
         g_x = np.matmul(g, w.data.T) if x.requires_grad else None
-        return (g_x,) + _in_path_order(paths, _weight_grad(x.data, g), _bias_grad(g))
+        return (g_x,) + _in_path_order(_weight_grad(x.data, g), _bias_grad(g))
 
-    return Tensor(out_data, _parents=(x,) + (w, b) * max(paths, 1), _backward_fn=bw)
+    return Tensor(out_data, _parents=(x,) + (w, b) * paths, _backward_fn=bw)
 
 
 def _vn_weight(store: ParameterStore, name: str, f_in: int, f_out: int) -> Tensor:
@@ -153,21 +154,21 @@ def _vn_weight(store: ParameterStore, name: str, f_in: int, f_out: int) -> Tenso
 
 
 def vn_linear(store: ParameterStore, name: str, v: Tensor, f_out: int) -> Tensor:
-    """Channel-mixing linear map acting on the left of (..., F, 3) features,
-    as one tape node."""
+    """Channel-mixing linear map acting on the left of (K, rows, F, 3)
+    features, as one tape node."""
     return _vn_linear(v, _vn_weight(store, name, v.shape[-2], f_out))
 
 
 def _vn_linear(v: Tensor, w: Tensor) -> Tensor:
-    paths = _paths(v.data, 3)
+    paths = _path_count(v.data, 3)
 
     def bw(g):
         g_v = np.matmul(w.data.T, g) if v.requires_grad else None
         # summed over the rows (beads) of each path
         return (g_v,) + _in_path_order(
-            paths, np.matmul(g, np.swapaxes(v.data, -1, -2)).sum(axis=-3))
+            np.matmul(g, np.swapaxes(v.data, -1, -2)).sum(axis=-3))
 
-    return Tensor(np.matmul(w.data, v.data), _parents=(v,) + (w,) * max(paths, 1),
+    return Tensor(np.matmul(w.data, v.data), _parents=(v,) + (w,) * paths,
                   _backward_fn=bw)
 
 
@@ -182,7 +183,7 @@ def vn_nonlin(store: ParameterStore, name: str, v: Tensor) -> Tensor:
 
 
 def _vn_nonlin(v: Tensor, u: Tensor) -> Tensor:
-    paths = _paths(v.data, 3)
+    paths = _path_count(v.data, 3)
     vd, ud = v.data, u.data
     d = np.matmul(ud, vd)
     dot = (vd * d).sum(axis=-1, keepdims=True)
@@ -198,10 +199,9 @@ def _vn_nonlin(v: Tensor, u: Tensor) -> Tensor:
         g_dot = g_scale / dnorm2
         g_d = -(mask * scale) * g + g_dot * vd - (2.0 * g_scale * scale / dnorm2) * d
         g_v = g + g_dot * d + np.matmul(ud.T, g_d)
-        return (g_v,) + _in_path_order(
-            paths, np.matmul(g_d, np.swapaxes(vd, -1, -2)).sum(axis=-3))
+        return (g_v,) + _in_path_order(np.matmul(g_d, np.swapaxes(vd, -1, -2)).sum(axis=-3))
 
-    return Tensor(out_data, _parents=(v,) + (u,) * max(paths, 1), _backward_fn=bw)
+    return Tensor(out_data, _parents=(v,) + (u,) * paths, _backward_fn=bw)
 
 
 def vn_mlp_params(store: ParameterStore, prefix: str, f_in: int, f_hidden: int,
@@ -256,45 +256,49 @@ def attention(store: ParameterStore, prefix: str, h_query: Tensor,
               h_key: Tensor) -> Tensor:
     """Scaled dot-product cross attention; softmax runs over the senders.
 
-    ``h_query`` may be path-stacked; ``h_key`` holds one path's features,
-    which every query path reads. The key and value projections of
-    ``h_key`` are one node, whose backward hands ``h_key`` its key then its
-    value gradient for each path in turn, and the scores, softmax and
-    weighted sum are another.
+    ``h_key`` holds one path, which every query path reads; without a tape
+    it may hold one path per query path. Another key raises ``ValueError``.
+    The key and value projections of ``h_key`` are one node, whose backward
+    hands ``h_key`` its key then its value gradient, of its own shape, for
+    each path in turn, and the scores, softmax and weighted sum are another.
     """
     d = h_query.shape[-1]
-    paths = _paths(h_query.data, 2)
+    paths = _path_count(h_query.data, 2)
     qw, qb, kw, kb, w = attention_params(store, prefix, d, h_key.shape[-1])
     q = _affine(h_query, qw, qb)
+    record = q.requires_grad or h_key.requires_grad
+    if h_key.ndim != 3 or h_key.shape[0] not in ((1,) if record else (1, paths)):
+        alt = "" if record else " or one per query path"
+        raise ValueError(f"attention key of shape {h_key.shape} must hold one path{alt} "
+                         f"for queries of shape {h_query.shape}")
     x = h_key.data
     k = np.matmul(x, kw.data)
     k += kb.data
     hw = np.matmul(x, w.data)
-    m = x.shape[0]
-    lead = (paths,) if paths else ()
+    kt = np.swapaxes(k, -1, -2)
+    m = x.shape[-2]
 
     def kv_bw(g):
-        g_kt = g[..., :m * d].reshape(lead + (d, m))
-        g_k = np.swapaxes(g_kt, -1, -2)
-        g_hw = g[..., m * d:].reshape(lead + (m, d))
+        g_k = np.swapaxes(g[:, :m * d].reshape(paths, d, m), -1, -2)
+        g_hw = g[:, m * d:].reshape(paths, m, d)
         if h_key.requires_grad:
-            g_key, g_value = np.matmul(g_k, kw.data.T), np.matmul(g_hw, w.data.T)
+            # one partial per path, each of the key's own (1, m, d_key) shape
+            g_key = np.matmul(g_k, kw.data.T)[:, None]
+            g_value = np.matmul(g_hw, w.data.T)[:, None]
         else:
-            g_key = g_value = [None] * paths if paths else None
-        return _in_path_order(paths, g_key, _weight_grad(x, g_k), _bias_grad(g_k),
-                              g_value, _weight_grad(x, g_hw))
+            g_key = g_value = [None] * paths
+        return _in_path_order(g_key, _weight_grad(x[0], g_k), _bias_grad(g_k),
+                              g_value, _weight_grad(x[0], g_hw))
 
-    if q.requires_grad or h_key.requires_grad:
+    if record:
         # one row per path holding k^T and h_key w, so each path's gradient
         # reaches the projections in the layouts the unfused chain had
-        kv_data = np.concatenate([k.T.ravel(), hw.ravel()])
-        kv = Tensor(np.broadcast_to(kv_data, lead + kv_data.shape),
-                    _parents=(h_key, kw, kb, h_key, w) * max(paths, 1), _backward_fn=kv_bw)
-    else:
-        kv = None      # nothing records (sampling): the node would be dropped
+        kv_data = np.concatenate([kt.ravel(), hw.ravel()])
+        kv = Tensor(np.broadcast_to(kv_data, (paths,) + kv_data.shape),
+                    _parents=(h_key, kw, kb, h_key, w) * paths, _backward_fn=kv_bw)
 
     scale = np.sqrt(d)
-    scores = np.matmul(q.data, np.swapaxes(k, 0, 1)) / scale
+    scores = np.matmul(q.data, kt) / scale
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     coeff = e / e.sum(axis=-1, keepdims=True)
 
@@ -304,10 +308,10 @@ def attention(store: ParameterStore, prefix: str, h_query: Tensor,
         g_s = coeff * (g_coeff - (g_coeff * coeff).sum(axis=-1, keepdims=True)) / scale
         g_q = np.matmul(g_s, k) if q.requires_grad else None
         g_kt = np.matmul(np.swapaxes(q.data, -1, -2), g_s)
-        return g_q, np.concatenate([g_kt.reshape(lead + (-1,)),
-                                    g_hw.reshape(lead + (-1,))], axis=-1)
+        return g_q, np.concatenate([g_kt.reshape(paths, -1), g_hw.reshape(paths, -1)], axis=-1)
 
     # q first, so that the walk in backward reaches the projections first,
-    # as it reached them before the query in the unfused chain
-    return Tensor(np.matmul(coeff, hw), _parents=() if kv is None else (q, kv),
+    # as it reached them before the query in the unfused chain; nothing
+    # records in sampling, where the node would be dropped
+    return Tensor(np.matmul(coeff, hw), _parents=(q, kv) if record else (),
                   _backward_fn=bw)

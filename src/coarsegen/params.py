@@ -89,8 +89,10 @@ class ParameterStore:
             p = self.params[name]
             if p.grad is None:
                 continue
-            m = self._adam_m.setdefault(name, np.zeros_like(p.data))
-            v = self._adam_v.setdefault(name, np.zeros_like(p.data))
+            if name not in self._adam_m:
+                self._adam_m[name] = np.zeros_like(p.data)
+                self._adam_v[name] = np.zeros_like(p.data)
+            m, v = self._adam_m[name], self._adam_v[name]
             m *= ADAM_BETA1
             m += (1 - ADAM_BETA1) * p.grad
             v *= ADAM_BETA2

@@ -1,5 +1,5 @@
 """Training loop: ELBO (optionally annealed) or optimal-transport objectives,
-plain SGD with a stepped learning-rate decay, per-epoch checkpoints and
+SGD or Adam with a stepped learning-rate decay, per-epoch checkpoints and
 structured logging. Deterministic for a fixed run configuration and seed."""
 
 from __future__ import annotations
@@ -125,9 +125,9 @@ def molecule_loss(store: ParameterStore, cfg: ModelConfig, mol: ToyMolecule,
                      "dist": 0.0, "beta1": b1, "beta2": 0.0,
                      "total": float(total.data)}
         return total, breakdown
-    # the ar blocks decode one path, reading the teacher
-    decoded = decode(store, cfg, z.reshape(z.shape[1:]), mapping, ref_c, graph, blocks,
-                     teacher_coords=truth[0])
+    # the ar blocks decode the one path, reading the teacher
+    decoded = decode(store, cfg, z, mapping, ref_c, graph, blocks, teacher_coords=truth[0])
+    decoded = decoded.reshape(decoded.shape[1:])
     recon = aligned_mse(decoded, truth[0])
     dist = distance_loss(decoded, truth[0], graph)
     return elbo_loss(recon, kl, dist, b1, run.weights.beta2)

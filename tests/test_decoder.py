@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from coarsegen import decoder, topology
-from coarsegen.autodiff import Tensor, backward
+from coarsegen.autodiff import Tensor, backward, no_grad
 from coarsegen.coarsen import CGMapping
 from coarsegen.corpus import ToyMolecule, make_corpus
 from coarsegen.decoder import (channel_selection, decode, decode_blocks, generate,
@@ -46,8 +46,9 @@ def mol(cfg):
 
 
 def latent_for(mapping, cfg, seed=0):
+    """A one-draw (1, beads, F, 3) latent stack."""
     rng = np.random.default_rng(seed)
-    return Tensor(rng.standard_normal((mapping.n_beads, cfg.latent_channels, 3)))
+    return Tensor(rng.standard_normal((1, mapping.n_beads, cfg.latent_channels, 3)))
 
 
 class TestChannelSelection:
@@ -55,22 +56,22 @@ class TestChannelSelection:
         graph, mapping, _, ref, _ = mol
         z = latent_for(mapping, cfg)
         out = channel_selection(z, mapping, ref)
-        assert out.shape == (graph.n_atoms, 3)
+        assert out.shape == (1, graph.n_atoms, 3)
 
     def test_single_channel_degenerate_softmax(self, mol):
         """With one latent channel the attention weight is identically 1 and
         every member atom receives exactly its bead's single channel vector."""
         graph, mapping, _, ref, _ = mol
-        z = Tensor(RNG.standard_normal((mapping.n_beads, 1, 3)))
+        z = Tensor(RNG.standard_normal((1, mapping.n_beads, 1, 3)))
         out = channel_selection(z, mapping, ref)
         for atom in range(graph.n_atoms):
             bead = mapping.assignment[atom]
-            np.testing.assert_allclose(out.data[atom], z.data[bead, 0],
+            np.testing.assert_allclose(out.data[0, atom], z.data[0, bead, 0],
                                        atol=1e-14)
 
     def test_bead_count_mismatch(self, mol, cfg):
         _, mapping, _, ref, _ = mol
-        z = Tensor(RNG.standard_normal((mapping.n_beads + 1,
+        z = Tensor(RNG.standard_normal((1, mapping.n_beads + 1,
                                         cfg.latent_channels, 3)))
         with pytest.raises(ValueError):
             channel_selection(z, mapping, ref)
@@ -80,11 +81,11 @@ class TestChannelSelection:
         z = latent_for(mapping, cfg)
         out = channel_selection(z, mapping, ref)
         for atom in range(graph.n_atoms):
-            keys = z.data[mapping.assignment[atom]]        # F x 3
+            keys = z.data[0, mapping.assignment[atom]]     # F x 3
             scores = ref[atom] @ keys.T / np.sqrt(3.0)
             e = np.exp(scores - scores.max())
             w = e / e.sum()
-            np.testing.assert_allclose(out.data[atom], w @ keys, atol=1e-12)
+            np.testing.assert_allclose(out.data[0, atom], w @ keys, atol=1e-12)
 
 
 class TestReferenceAnchoring:
@@ -102,7 +103,7 @@ class TestReferenceAnchoring:
         decode(store, cfg, z, mapping, ref, graph, blocks)  # create params
         self.zero_update_nets(store, cfg)
         out = decode(store, cfg, z, mapping, ref, graph, blocks)
-        np.testing.assert_array_equal(out.data, ref)
+        np.testing.assert_array_equal(out.data[0], ref)
 
     def test_zeroed_gates_return_reference_exactly_ot(self, mol, cfg, store):
         graph, mapping, _, ref, _ = mol
@@ -111,7 +112,7 @@ class TestReferenceAnchoring:
         decode(store, cfg, z, mapping, ref, graph, blocks)
         self.zero_update_nets(store, cfg)
         out = decode(store, cfg, z, mapping, ref, graph, blocks)
-        np.testing.assert_array_equal(out.data, ref)
+        np.testing.assert_array_equal(out.data[0], ref)
 
 
 class TestAutoregressiveBookkeeping:
@@ -135,7 +136,7 @@ class TestAutoregressiveBookkeeping:
         z = latent_for(mapping, cfg)
         out = decode(store, cfg, z, mapping, ref, graph,
                      decode_blocks(mapping, "ar", order))
-        assert out.shape == (graph.n_atoms, 3)
+        assert out.shape == (1, graph.n_atoms, 3)
         assert np.isfinite(out.data).all()
 
     def test_teacher_forcing_changes_later_beads_only(self, mol, cfg, store):
@@ -146,7 +147,7 @@ class TestAutoregressiveBookkeeping:
         forced = decode(store, cfg, z, mapping, ref, graph, blocks,
                         teacher_coords=gt)
         first = sorted(mapping.members[order[0]])
-        np.testing.assert_array_equal(free.data[first], forced.data[first])
+        np.testing.assert_array_equal(free.data[0, first], forced.data[0, first])
 
 
 class TestDecodeOt:
@@ -154,21 +155,34 @@ class TestDecodeOt:
         graph, mapping, _, ref, _ = mol
         out = decode(store, cfg, latent_for(mapping, cfg), mapping, ref,
                      graph, decode_blocks(mapping, "ot"))
-        assert out.shape == (graph.n_atoms, 3)
+        assert out.shape == (1, graph.n_atoms, 3)
         assert np.isfinite(out.data).all()
 
     def test_stacked_latents_decode_as_single_draws(self, mol, cfg, store):
+        """Each slice of a 3-draw decode is its one-draw decode bit for bit:
+        in one block of every atom, with a tape or without, and in the
+        autoregressive blocks, which take several draws only without a
+        tape (every draw's attention key is then its own)."""
         graph, mapping, _, ref, order = mol
-        zs = [latent_for(mapping, cfg, seed) for seed in range(3)]
-        blocks = decode_blocks(mapping, "ot")
-        stacked = decode(store, cfg, Tensor(np.stack([z.data for z in zs])), mapping,
-                         ref, graph, blocks)
-        for k, z in enumerate(zs):
-            single = decode(store, cfg, z, mapping, ref, graph, blocks)
-            assert np.array_equal(stacked.data[k], single.data)
-        with pytest.raises(ValueError, match="one block of every atom"):
-            decode(store, cfg, Tensor(np.stack([z.data for z in zs])), mapping, ref,
-                   graph, decode_blocks(mapping, "ar", order))
+        zs = np.concatenate([latent_for(mapping, cfg, seed).data for seed in range(3)])
+        for blocks, modes in [(decode_blocks(mapping, "ot"), (contextlib.nullcontext, no_grad)),
+                              (decode_blocks(mapping, "ar", order), (no_grad,))]:
+            for mode in modes:
+                with mode():
+                    stacked = decode(store, cfg, Tensor(zs), mapping, ref, graph, blocks)
+                    for k in range(3):
+                        single = decode(store, cfg, Tensor(zs[k:k + 1]), mapping, ref,
+                                        graph, blocks)
+                        assert np.array_equal(stacked.data[k], single.data[0])
+        with pytest.raises(ValueError, match="must hold one path for queries"):
+            decode(store, cfg, Tensor(zs), mapping, ref, graph,
+                   decode_blocks(mapping, "ar", order))
+
+    def test_latent_needs_the_draws_axis(self, mol, cfg, store):
+        graph, mapping, _, ref, _ = mol
+        z = latent_for(mapping, cfg).data[0]
+        with pytest.raises(ValueError, match=re.escape(f"got shape {z.shape}")):
+            decode(store, cfg, Tensor(z), mapping, ref, graph, decode_blocks(mapping, "ot"))
 
 
 class TestBlocks:
@@ -249,18 +263,30 @@ class TestGenerate:
                      np.random.default_rng(3)).coords
         np.testing.assert_array_equal(a, b)
 
-    def test_ensemble_equals_successive_generates(self, mol, cfg):
+    def test_ensemble_equals_successive_generates(self, mol, cfg, monkeypatch):
+        """In both decode modes the draws of one ensemble are the successive
+        single draws bit for bit, and all of them decode in one call."""
         graph, mapping, _, ref, order = mol
-        store = ParameterStore(seed=4)
-        rng = np.random.default_rng(8)
-        one_by_one = [generate(store, cfg, graph, mapping, ref, order, rng).coords
-                      for _ in range(4)]
-        store = ParameterStore(seed=4)
-        batch = generate_ensemble(store, cfg, graph, mapping, ref, order,
-                                  np.random.default_rng(8), 4)
-        assert len(batch) == 4
-        for a, b in zip(one_by_one, batch):
-            assert np.array_equal(a, b.coords)
+        decodes = []
+        original = decoder.decode
+
+        def counted(*args, **kwargs):
+            decodes.append(args[2].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(decoder, "decode", counted)
+        for mode in ("ar", "ot"):
+            store = ParameterStore(seed=4)
+            rng = np.random.default_rng(8)
+            one_by_one = [generate(store, cfg, graph, mapping, ref, order, rng,
+                                   mode=mode).coords for _ in range(4)]
+            decodes.clear()
+            batch = generate_ensemble(ParameterStore(seed=4), cfg, graph, mapping, ref,
+                                      order, np.random.default_rng(8), 4, mode=mode)
+            assert decodes == [(4, mapping.n_beads, cfg.latent_channels, 3)]
+            assert len(batch) == 4
+            for a, b in zip(one_by_one, batch):
+                assert np.array_equal(a, b.coords)
 
     def test_ot_mode_runs(self, mol, cfg, store):
         graph, mapping, _, ref, order = mol
@@ -469,20 +495,29 @@ class TestPriorCache:
 
 class TestNoGradSampling:
     """``generate_ensemble`` draws under ``no_grad``; patching that out to a
-    null context gives the same draws taken while recording."""
+    null context gives the same draws, taken one at a time while
+    recording."""
 
-    def draw(self, mol, cfg, mode):
+    def draw(self, mol, cfg, mode, recorded=False):
+        """Three draws: one ensemble, or while recording three successive
+        one-draw ensembles, since under a tape an attention key holds one
+        path (the autoregressive decode of one draw)."""
         graph, mapping, _, ref, order = mol
         store = ParameterStore(seed=6)
-        confs = generate_ensemble(store, cfg, graph, mapping, ref, order,
-                                  np.random.default_rng(9), 3, mode=mode)
+        rng = np.random.default_rng(9)
+        if recorded:
+            confs = [generate(store, cfg, graph, mapping, ref, order, rng, mode=mode)
+                     for _ in range(3)]
+        else:
+            confs = generate_ensemble(store, cfg, graph, mapping, ref, order, rng, 3,
+                                      mode=mode)
         return store, [c.coords for c in confs]
 
     @pytest.mark.parametrize("mode", ["ar", "ot"])
     def test_draws_equal_recorded_draws(self, mol, cfg, mode, monkeypatch):
         _, quiet = self.draw(mol, cfg, mode)
         monkeypatch.setattr(decoder, "no_grad", contextlib.nullcontext)
-        _, recorded = self.draw(mol, cfg, mode)
+        _, recorded = self.draw(mol, cfg, mode, recorded=True)
         for a, b in zip(quiet, recorded):
             assert np.array_equal(a, b)
 
@@ -490,7 +525,7 @@ class TestNoGradSampling:
         graph, mapping, gt, ref, _ = mol
         quiet, _ = self.draw(mol, cfg, "ar")
         monkeypatch.setattr(decoder, "no_grad", contextlib.nullcontext)
-        recorded, _ = self.draw(mol, cfg, "ar")
+        recorded, _ = self.draw(mol, cfg, "ar", recorded=True)
         assert quiet.names() == recorded.names()
         assert all(quiet[n].requires_grad for n in quiet.names())
 

@@ -106,7 +106,8 @@ class TestDeterminismAndShapes:
         graph, mapping, gt, ref = micro_molecule
         z_gt, z_ref = encode(store, cfg, graph, mapping, [gt], ref)
         assert z_gt.shape == (1, mapping.n_beads, cfg.latent_channels, 3)
-        assert z_ref.shape == z_gt.shape[1:]
+        assert z_ref.shape == z_gt.shape
+        assert encode_reference(store, cfg, graph, mapping, ref).shape == z_ref.shape
 
     def test_bitwise_deterministic(self, cfg, store, micro_molecule):
         graph, mapping, gt, ref = micro_molecule
@@ -132,7 +133,7 @@ class TestOneStack:
         z_gts, z_ref = encode(store, cfg, graph, mapping, [gt + 0.1 * i for i in range(k)],
                               ref)
         assert z_gts.shape == (k, mapping.n_beads, cfg.latent_channels, 3)
-        assert z_ref.shape == z_gts.shape[1:]
+        assert z_ref.shape == (1,) + z_gts.shape[1:]
         assert calls == dict.fromkeys(calls, cfg.layers)
 
 

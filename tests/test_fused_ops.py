@@ -1,8 +1,8 @@
 """Fused tape ops: each forward equals the primitive-op chain it replaces bit
 for bit, each hand-written backward passes a central-difference check with
 respect to the input and every parameter, and each op records one node.
-A path-stacked call equals the single-path calls bit for bit, gradients
-included. Also: one K-path encode equals the per-conformer encodes bit for
+Every layer input is a path stack; a K-path call equals the K one-path
+calls bit for bit, gradients included. Also: one K-path encode equals the per-conformer encodes bit for
 bit and creates its parameters in the same order."""
 
 import numpy as np
@@ -71,7 +71,7 @@ def store():
 
 class TestMlp:
     def test_forward_matches_primitive_chain(self, store, rng):
-        x = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
+        x = Tensor(rng.standard_normal((1, 6, 5)), requires_grad=True)
         out = mlp(store, "m", x, 7, 3)
         w0, b0, w1, b1 = (store[f"m.{n}"] for n in ("w0", "b0", "w1", "b1"))
         pre = x @ w0 + b0
@@ -80,14 +80,14 @@ class TestMlp:
 
     def test_gradcheck(self, store, rng):
         check_grads(lambda t: mlp(store, "m", t, 7, 3),
-                    rng.standard_normal((6, 5)), store, rng)
+                    rng.standard_normal((1, 6, 5)), store, rng)
 
     def test_gradcheck_batched_input(self, store, rng):
         check_grads(lambda t: mlp(store, "m", t, 4, 2),
                     rng.standard_normal((2, 3, 5)), store, rng)
 
     def test_saturated_sigmoid_stays_finite(self, store):
-        x = Tensor(np.array([[800.0], [-800.0]]), requires_grad=True)
+        x = Tensor(np.array([[[800.0], [-800.0]]]), requires_grad=True)
         mlp(store, "m", x, 1, 1)
         store["m.w0"].data[:] = 1.0
         out = mlp(store, "m", x, 1, 1)
@@ -95,28 +95,28 @@ class TestMlp:
         assert np.all(np.isfinite(out.data)) and np.all(np.isfinite(x.grad))
 
     def test_one_node(self, store, rng):
-        x = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
+        x = Tensor(rng.standard_normal((1, 6, 5)), requires_grad=True)
         assert tape_nodes(mlp(store, "m", x, 7, 3)) == 1
 
 
 class TestAffine:
     def test_forward_matches_primitive_chain(self, store, rng):
-        x = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
+        x = Tensor(rng.standard_normal((1, 6, 5)), requires_grad=True)
         out = affine(store, "a", x, 4)
         assert np.array_equal(out.data, (x @ store["a.w"] + store["a.b"]).data)
 
     def test_gradcheck(self, store, rng):
         check_grads(lambda t: affine(store, "a", t, 4),
-                    rng.standard_normal((6, 5)), store, rng)
+                    rng.standard_normal((1, 6, 5)), store, rng)
 
     def test_one_node(self, store, rng):
-        x = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
+        x = Tensor(rng.standard_normal((1, 6, 5)), requires_grad=True)
         assert tape_nodes(affine(store, "a", x, 4)) == 1
 
 
 class TestVnNonlin:
     def test_forward_matches_primitive_chain(self, store, rng):
-        v = Tensor(rng.standard_normal((7, 5, 3)), requires_grad=True)
+        v = Tensor(rng.standard_normal((1, 7, 5, 3)), requires_grad=True)
         out = vn_nonlin(store, "u", v)
         u = store["u"]
         d = u @ v
@@ -127,7 +127,7 @@ class TestVnNonlin:
         assert np.array_equal(out.data, want.data)
 
     def test_gradcheck_both_sides_of_mask(self, store, rng):
-        v = rng.standard_normal((7, 5, 3))
+        v = rng.standard_normal((1, 7, 5, 3))
         vn_nonlin(store, "u", Tensor(v))
         dot = np.sum(v * (store["u"].data @ v), axis=-1)
         # both branches are exercised, and no channel sits on the switch
@@ -136,7 +136,7 @@ class TestVnNonlin:
         check_grads(lambda t: vn_nonlin(store, "u", t), v, store, rng)
 
     def test_one_node(self, store, rng):
-        v = Tensor(rng.standard_normal((7, 5, 3)), requires_grad=True)
+        v = Tensor(rng.standard_normal((1, 7, 5, 3)), requires_grad=True)
         assert tape_nodes(vn_nonlin(store, "u", v)) == 1
 
 
@@ -160,12 +160,12 @@ class TestRbfExpand:
 
     def distances(self, rng):
         # one distance sits exactly on a center, where the basis peaks
-        return np.concatenate([rng.uniform(0.1, 10.0, size=6), self.CENTERS[[3]]])
+        return np.concatenate([rng.uniform(0.1, 10.0, size=6), self.CENTERS[[3]]])[None]
 
     def test_forward_matches_primitive_chain(self, store, rng):
         d = Tensor(self.distances(rng), requires_grad=True)
         out = rbf_expand(store, "r", d, self.CENTERS, self.WIDTH, 4)
-        z = (d.reshape(-1, 1) - Tensor(self.CENTERS)) / self.WIDTH
+        z = (d.reshape(1, -1, 1) - Tensor(self.CENTERS)) / self.WIDTH
         basis = (-0.5 * z * z).exp()
         want = basis @ store["r.w"] + store["r.b"]
         assert np.array_equal(out.data, want.data)
@@ -231,38 +231,39 @@ class TestChannelSelection:
 
 class TestPathStacking:
     """An input with a leading axis of K paths runs the K paths in one call.
-    Each forward slice equals the single-path call, and after ``.grad =
-    None`` each parameter's ``.grad`` (and the attention source's) equals,
-    bit for bit, the fold in path order of the K single-path backwards:
-    the gradient training gets from K single-path calls."""
+    Each forward slice equals the one-path call, and after ``.grad =
+    None`` each parameter's ``.grad`` (and the attention key's) equals,
+    bit for bit, the fold in path order of the K one-path backwards: the
+    gradient training gets from K one-path calls."""
 
     K = 3
 
-    def check(self, call, shape, source_shape=None):
+    def check(self, call, shape, key_shape=None):
         rng = np.random.default_rng(SEED)
         xs = rng.standard_normal((self.K,) + shape)
         store = ParameterStore(seed=SEED)
-        source = (None if source_shape is None
-                  else Tensor(rng.standard_normal(source_shape), requires_grad=True))
+        key = (None if key_shape is None
+               else Tensor(rng.standard_normal(key_shape), requires_grad=True))
         stacked_x = Tensor(xs, requires_grad=True)
-        out = call(store, stacked_x, source)
+        out = call(store, stacked_x, key)
         w = rng.standard_normal(out.shape)
         backward((out * Tensor(w)).sum())
         stacked = {name: p.grad for name, p in store.params.items()}
-        stacked_source = None if source is None else source.grad
+        stacked_key = None if key is None else key.grad
         store.zero_grad()
-        if source is not None:
-            source.grad = None
+        if key is not None:
+            key.grad = None
         for k in range(self.K):
-            x = Tensor(xs[k], requires_grad=True)
-            out_k = call(store, x, source)
-            assert np.array_equal(out_k.data, out.data[k])
-            backward((out_k * Tensor(w[k])).sum())
-            assert np.array_equal(x.grad, stacked_x.grad[k])
+            x = Tensor(xs[k:k + 1], requires_grad=True)
+            out_k = call(store, x, key)
+            assert np.array_equal(out_k.data[0], out.data[k])
+            backward((out_k * Tensor(w[k:k + 1])).sum())
+            assert np.array_equal(x.grad[0], stacked_x.grad[k])
         for name, p in store.params.items():
             assert np.array_equal(p.grad, stacked[name]), name
-        if source is not None:
-            assert np.array_equal(source.grad, stacked_source)
+        if key is not None:
+            assert key.grad.shape == key_shape
+            assert np.array_equal(key.grad, stacked_key)
 
     def test_mlp(self):
         self.check(lambda s, x, _: mlp(s, "m", x, 7, 3), (6, 5))
@@ -274,7 +275,7 @@ class TestPathStacking:
         self.check(lambda s, x, _: vn_mlp(s, "v", x, 4, 6), (7, 5, 3))
 
     def test_attention(self):
-        self.check(lambda s, x, src: attention(s, "att", x, src), (6, 4), (5, 4))
+        self.check(lambda s, x, key: attention(s, "att", x, key), (6, 4), (1, 5, 4))
 
 
 def test_encode_ensemble_matches_single_encodes(small_cfg):

@@ -1,10 +1,13 @@
 """Differentiable building blocks: dual-implementation oracles, rotation
-behavior of the vector-neuron layers, RBF closed form, attention semantics."""
+behavior of the vector-neuron layers, RBF closed form, attention semantics,
+and the one shape convention: every layer input is a stack of paths."""
+
+import re
 
 import numpy as np
 import pytest
 
-from coarsegen.autodiff import Tensor
+from coarsegen.autodiff import Tensor, no_grad
 from coarsegen.geometry import random_rotation
 from coarsegen.nn import (RBF_CENTERS, RBF_WIDTH, ModelConfig, affine, attention, mlp, rbf_expand,
                           vn_linear, vn_mlp, vn_nonlin, vn_norms)
@@ -19,7 +22,7 @@ def silu_np(x):
 
 class TestMlp:
     def test_matches_straight_line_reimplementation(self, store):
-        x = RNG.standard_normal((5, 7))
+        x = RNG.standard_normal((2, 5, 7))
         out = mlp(store, "m", Tensor(x), 6, 3)
         w0, b0 = store["m.w0"].data, store["m.b0"].data
         w1, b1 = store["m.w1"].data, store["m.b1"].data
@@ -27,7 +30,7 @@ class TestMlp:
         np.testing.assert_allclose(out.data, want, atol=1e-12)
 
     def test_zero_weights_give_bias(self, store):
-        x = Tensor(RNG.standard_normal((4, 3)))
+        x = Tensor(RNG.standard_normal((1, 4, 3)))
         mlp(store, "m", x, 5, 2)
         store["m.w0"].data[:] = 0.0
         store["m.b0"].data[:] = 0.0
@@ -37,7 +40,7 @@ class TestMlp:
         np.testing.assert_allclose(out.data, 1.25)
 
     def test_identity_configured_1x1_is_silu(self, store):
-        x = Tensor(RNG.standard_normal((6, 1)))
+        x = Tensor(RNG.standard_normal((1, 6, 1)))
         mlp(store, "m", x, 1, 1)
         store["m.w0"].data[:] = 1.0
         store["m.b0"].data[:] = 0.0
@@ -47,7 +50,7 @@ class TestMlp:
         np.testing.assert_allclose(out.data, silu_np(x.data), atol=1e-12)
 
     def test_affine_matches(self, store):
-        x = RNG.standard_normal((4, 5))
+        x = RNG.standard_normal((2, 4, 5))
         out = affine(store, "a", Tensor(x), 3)
         want = x @ store["a.w"].data + store["a.b"].data
         np.testing.assert_allclose(out.data, want, atol=1e-13)
@@ -55,12 +58,12 @@ class TestMlp:
 
 class TestVectorNeurons:
     def test_vn_linear_is_left_matmul(self, store):
-        v = RNG.standard_normal((6, 4, 3))
+        v = RNG.standard_normal((2, 6, 4, 3))
         out = vn_linear(store, "w", Tensor(v), 5)
         np.testing.assert_allclose(out.data, store["w"].data @ v, atol=1e-13)
 
     def test_equivariance_of_vn_mlp(self, store):
-        v = RNG.standard_normal((6, 4, 3))
+        v = RNG.standard_normal((1, 6, 4, 3))
         base = vn_mlp(store, "vn", Tensor(v), 4, 4).data
         for _ in range(5):
             rot = random_rotation(RNG)
@@ -68,11 +71,11 @@ class TestVectorNeurons:
             np.testing.assert_allclose(out, base @ rot.T, atol=1e-10)
 
     def test_zero_maps_to_zero(self, store):
-        out = vn_mlp(store, "vn", Tensor(np.zeros((3, 4, 3))), 4, 4)
+        out = vn_mlp(store, "vn", Tensor(np.zeros((1, 3, 4, 3))), 4, 4)
         np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
     def test_nonlin_projects_negative_half_space(self, store):
-        v = RNG.standard_normal((8, 5, 3))
+        v = RNG.standard_normal((2, 8, 5, 3))
         out = vn_nonlin(store, "u", Tensor(v)).data
         d = store["u"].data @ v
         dot = np.sum(v * d, axis=-1)
@@ -92,9 +95,9 @@ class TestRbf:
     def test_closed_form(self, store):
         centers = np.linspace(0, 10, 16)
         width = 10.0 / 15
-        d = RNG.uniform(0, 10, size=9)
+        d = RNG.uniform(0, 10, size=(1, 9))
         out = rbf_expand(store, "r", Tensor(d), centers, width, 4)
-        basis = np.exp(-0.5 * ((d[:, None] - centers) / width) ** 2)
+        basis = np.exp(-0.5 * ((d[..., None] - centers) / width) ** 2)
         want = basis @ store["r.w"].data + store["r.b"].data
         np.testing.assert_allclose(out.data, want, atol=1e-12)
 
@@ -106,24 +109,71 @@ class TestRbf:
 
 class TestAttention:
     def test_matches_reimplementation(self, store):
-        hq = RNG.standard_normal((4, 6))
-        hk = RNG.standard_normal((7, 6))
+        hq = RNG.standard_normal((2, 4, 6))
+        hk = RNG.standard_normal((1, 7, 6))
         out = attention(store, "a", Tensor(hq), Tensor(hk))
         q = hq @ store["a.q.w"].data + store["a.q.b"].data
-        k = hk @ store["a.k.w"].data + store["a.k.b"].data
+        k = hk[0] @ store["a.k.w"].data + store["a.k.b"].data
         scores = q @ k.T / np.sqrt(6)
-        e = np.exp(scores - scores.max(axis=1, keepdims=True))
-        coeff = e / e.sum(axis=1, keepdims=True)
-        want = coeff @ (hk @ store["a.w"].data)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        coeff = e / e.sum(axis=-1, keepdims=True)
+        want = coeff @ (hk[0] @ store["a.w"].data)
         np.testing.assert_allclose(out.data, want, atol=1e-12)
 
     def test_single_key_collapses_to_its_value(self, store):
-        hq = RNG.standard_normal((3, 4))
-        hk = RNG.standard_normal((1, 4))
+        hq = RNG.standard_normal((1, 3, 4))
+        hk = RNG.standard_normal((1, 1, 4))
         out = attention(store, "a", Tensor(hq), Tensor(hk))
         want = hk @ store["a.w"].data
-        np.testing.assert_allclose(out.data, np.repeat(want, 3, axis=0),
+        np.testing.assert_allclose(out.data, np.repeat(want, 3, axis=1),
                                    atol=1e-12)
+
+    def test_key_per_query_path_without_tape(self, store):
+        """With no tape, a key of one path per query path gives each query
+        path the one-path call with its own key."""
+        hq, hk = RNG.standard_normal((3, 4, 6)), RNG.standard_normal((3, 5, 6))
+        with no_grad():
+            out = attention(store, "a", Tensor(hq), Tensor(hk)).data
+            for k in range(3):
+                one = attention(store, "a", Tensor(hq[k:k + 1]), Tensor(hk[k:k + 1])).data
+                assert np.array_equal(out[k], one[0])
+
+    @pytest.mark.parametrize("key_shape", [(3, 5, 6), (2, 5, 6), (5, 6), (1, 1, 5, 6)])
+    def test_tape_needs_a_one_path_key(self, store, key_shape):
+        """Under a tape the key holds one path, which every query path
+        reads; another key names both shapes."""
+        hq = Tensor(RNG.standard_normal((3, 4, 6)))
+        with pytest.raises(ValueError, match=re.escape(f"{key_shape} must hold one path "
+                                                       f"for queries of shape (3, 4, 6)")):
+            attention(store, "a", hq, Tensor(RNG.standard_normal(key_shape)))
+
+    @pytest.mark.parametrize("key_shape", [(2, 5, 6), (5, 6)])
+    def test_other_key_rejected_without_tape(self, store, key_shape):
+        hq = Tensor(RNG.standard_normal((3, 4, 6)))
+        with no_grad(), pytest.raises(ValueError, match="one per query path"):
+            attention(store, "a", hq, Tensor(RNG.standard_normal(key_shape)))
+
+
+class TestPathAxisRequired:
+    """Every layer input carries one leading path axis; an input without
+    it (or with one more) raises, naming its shape, before it could be read
+    as rows."""
+
+    @pytest.mark.parametrize("layer,shape", [
+        ("mlp", (4, 3)), ("mlp", (1, 2, 4, 3)), ("affine", (4, 3)), ("affine", (3,)),
+        ("vn_linear", (4, 2, 3)), ("vn_nonlin", (4, 2, 3)), ("vn_nonlin", (1, 1, 4, 2, 3)),
+        ("attention", (4, 3)),
+    ])
+    def test_input_without_path_axis_rejected(self, store, layer, shape):
+        x = Tensor(RNG.standard_normal(shape))
+        call = {"mlp": lambda: mlp(store, "m", x, 5, 2),
+                "affine": lambda: affine(store, "a", x, 2),
+                "vn_linear": lambda: vn_linear(store, "w", x, 2),
+                "vn_nonlin": lambda: vn_nonlin(store, "u", x),
+                "attention": lambda: attention(store, "att", x,
+                                               Tensor(RNG.standard_normal((1, 5, 3))))}[layer]
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            call()
 
 
 class TestModelConfig:
